@@ -42,7 +42,6 @@ pub mod legalize;
 pub mod opt;
 pub mod peephole;
 pub mod program;
-pub mod sched;
 
 use pim_dram::address::{RowAddr, SubarrayId};
 use pim_dram::bitrow::BitRow;
@@ -59,7 +58,6 @@ pub use legalize::{legalize, legalize_with, LegalizeStats};
 pub use opt::{fuse, fuse_programs, optimize, OptLevel, OptStats};
 pub use peephole::{peephole, PeepholeStats};
 pub use program::{IrError, IrErrorKind, KernelSpan, PimOp, PimProgram, RowClass, RowDecl, VRow};
-pub use sched::{schedule, DepGraph, IssueModel, StreamSchedule};
 
 /// One lowered op. Row operands are *role indices* into the binding
 /// array supplied at execution time (see [`CompiledKernel::roles`] for

@@ -49,9 +49,10 @@ pub struct PerfReport {
     /// Resource Utilization Ratio (%).
     pub rur_percent: f64,
     /// Effective sub-array parallelism measured by scheduling the run's
-    /// per-sub-array command totals under the shared command bus
-    /// (see [`pim_dram::schedule::queues_from_totals`]); `None` until
-    /// attached via [`PerfReport::with_measured_parallelism`].
+    /// per-sub-array command totals, one `(commands, latency)` queue per
+    /// sub-array, under the shared command bus (see
+    /// [`pim_dram::schedule::schedule`]); `None` until attached via
+    /// [`PerfReport::with_measured_parallelism`].
     pub measured_parallelism: Option<f64>,
     /// The measured workload sizes (for extrapolation).
     pub workload: AssemblyWorkload,

@@ -210,17 +210,35 @@ fn partition_intervals(geometry: &pim_dram::geometry::DramGeometry) -> usize {
     geometry.active_mats_per_bank.max(2)
 }
 
-/// Folds checkpointed metrics from an earlier session segment into the
-/// current snapshot. `total.*` counters are skipped: they are re-derived
-/// from the restored ledger and therefore already cumulative. Host keys
-/// are summed wholesale — they sit outside the deterministic contract
-/// (`dispatch.max_queue_depth` becomes a sum of per-segment maxima, which
-/// is documented and acceptable there).
-fn fold_base(
+/// The session's metrics snapshot: the controller's, plus the dispatcher
+/// and span host counters, with the checkpointed metrics of earlier
+/// session segments folded in. `None` when observability is off.
+///
+/// Dispatcher batch counts depend on how the stream was chunked, so all
+/// dispatch telemetry lives in the host section, outside the worker- and
+/// chunk-invariant contract. When folding, `total.*` counters are skipped:
+/// they are re-derived from the restored ledger and therefore already
+/// cumulative. Host keys are summed wholesale — they sit outside the
+/// deterministic contract (`dispatch.max_queue_depth` becomes a sum of
+/// per-segment maxima, which is documented and acceptable there).
+fn session_snapshot(
+    ctrl: &mut Controller,
+    dispatcher: &ParallelDispatcher,
+    spans: Option<&SpanRecorder>,
     base_counters: &BTreeMap<String, u64>,
     base_host: &BTreeMap<String, u64>,
-    snap: &mut MetricsSnapshot,
-) {
+) -> Option<MetricsSnapshot> {
+    let mut snap = ctrl.metrics_snapshot()?;
+    for (name, value) in dispatcher.metrics().deterministic_counters() {
+        snap.host.insert(format!("dispatch.{name}"), value);
+    }
+    for (name, value) in dispatcher.metrics().host_counters() {
+        snap.host.insert(format!("dispatch.{name}"), value);
+    }
+    if let Some(spans) = spans {
+        snap.host.insert("spans.recorded".to_string(), spans.len() as u64);
+        snap.host.insert("spans.dropped".to_string(), spans.dropped());
+    }
     for (key, value) in base_counters {
         if key.starts_with("total.") {
             continue;
@@ -230,6 +248,7 @@ fn fold_base(
     for (key, value) in base_host {
         *snap.host.entry(key.clone()).or_insert(0) += value;
     }
+    Some(snap)
 }
 
 /// Where a session currently stands.
@@ -732,23 +751,14 @@ impl<'a> Session<'a> {
             let sched = pim_dram::schedule::schedule(&queues, 3.0 * config.timing.t_ck_ns);
             let mut report = PerfReport::new(config, [s1, s2, s3], workload)
                 .with_measured_parallelism(sched.effective_parallelism);
-            if let Some(mut snap) = env.ctrl.metrics_snapshot() {
-                // Dispatcher batch counts depend on how the stream was
-                // chunked, so since the staged-engine refactor all
-                // dispatch telemetry lives in the host section, outside
-                // the worker- and chunk-invariant contract.
-                for (name, value) in env.dispatcher.metrics().deterministic_counters() {
-                    snap.host.insert(format!("dispatch.{name}"), value);
-                }
-                for (name, value) in env.dispatcher.metrics().host_counters() {
-                    snap.host.insert(format!("dispatch.{name}"), value);
-                }
-                if let Some(spans) = spans.as_deref() {
-                    snap.host.insert("spans.recorded".to_string(), spans.len() as u64);
-                    snap.host.insert("spans.dropped".to_string(), spans.dropped());
-                }
+            if let Some(mut snap) = session_snapshot(
+                env.ctrl,
+                env.dispatcher,
+                spans.as_deref(),
+                &self.base_counters,
+                &self.base_host,
+            ) {
                 snap.floats.insert("measured_parallelism".to_string(), sched.effective_parallelism);
-                fold_base(&self.base_counters, &self.base_host, &mut snap);
                 report = report.with_metrics(snap);
             }
 
@@ -807,18 +817,13 @@ impl<'a> Session<'a> {
             if let Some(s2) = self.s2 {
                 cp.ledgers.insert("s2".into(), s2);
             }
-            if let Some(mut snap) = env.ctrl.metrics_snapshot() {
-                for (name, value) in env.dispatcher.metrics().deterministic_counters() {
-                    snap.host.insert(format!("dispatch.{name}"), value);
-                }
-                for (name, value) in env.dispatcher.metrics().host_counters() {
-                    snap.host.insert(format!("dispatch.{name}"), value);
-                }
-                if let Some(spans) = spans.as_deref() {
-                    snap.host.insert("spans.recorded".to_string(), spans.len() as u64);
-                    snap.host.insert("spans.dropped".to_string(), spans.dropped());
-                }
-                fold_base(&self.base_counters, &self.base_host, &mut snap);
+            if let Some(mut snap) = session_snapshot(
+                env.ctrl,
+                env.dispatcher,
+                spans.as_deref(),
+                &self.base_counters,
+                &self.base_host,
+            ) {
                 // `total.*` counters are ledger-derived at render time;
                 // the checkpoint stores only additive segment data.
                 snap.counters.retain(|key, _| !key.starts_with("total."));

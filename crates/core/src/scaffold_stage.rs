@@ -40,7 +40,8 @@ pub struct ScaffoldStage;
 
 impl ScaffoldStage {
     /// Builds the anchor index from `contigs`, anchors every pair, and
-    /// chains supported links into scaffolds.
+    /// chains supported links into scaffolds: one [`ScaffoldExec`] fed
+    /// the whole pair stream as a single chunk.
     ///
     /// # Errors
     ///
@@ -54,72 +55,19 @@ impl ScaffoldStage {
         k: usize,
         min_support: usize,
     ) -> Result<(Vec<Scaffold>, ScaffoldStats)> {
-        ctrl.set_stage(Stage::Scaffold);
-        let mut stats = ScaffoldStats::default();
-
-        // 1. Load the anchor index: every contig k-mer into the PIM table,
-        //    with a host-side sidecar mapping k-mer → (contig, offset)
-        //    (hardware keeps the payload in adjacent value rows; the
-        //    sidecar mirrors it for result decoding).
-        let mut table = PimHashTable::new(mapper);
-        let mut sidecar: HashMap<u64, (usize, usize)> = HashMap::new();
-        for (ci, c) in contigs.iter().enumerate() {
-            for (off, kmer) in KmerIter::new(c.sequence(), k)?.enumerate() {
-                table.insert(ctrl, kmer)?;
-                sidecar.entry(kmer.packed()).or_insert((ci, off));
-                stats.index_kmers += 1;
-            }
-        }
-
-        // 2. Anchor both mates of every pair through PIM queries.
-        let mut anchored_pairs: Vec<&ReadPair> = Vec::new();
-        for p in pairs {
-            let a = Self::anchor(ctrl, &mut table, &sidecar, &p.r1.seq, k)?;
-            let b = Self::anchor(ctrl, &mut table, &sidecar, &p.r2.seq, k)?;
-            stats.anchor_queries += 2;
-            if a.is_some() && b.is_some() {
-                stats.pairs_anchored += 1;
-                anchored_pairs.push(p);
-            }
-        }
-
-        // 3. Link voting + chaining (DPU scalar work, one op per anchored
-        //    pair and per link decision).
-        ctrl.record_metric(Metric::ScaffoldAnchors, stats.pairs_anchored);
-        ctrl.dpu_ops(stats.pairs_anchored + contigs.len() as u64);
-        let scaffolder = Scaffolder::new(k, min_support);
-        let scaffolds = scaffolder.scaffold(contigs, pairs)?;
-        stats.scaffolds = scaffolds.len() as u64;
-        Ok((scaffolds, stats))
-    }
-
-    /// Anchors a read by its first k-mer through a charged PIM lookup.
-    fn anchor(
-        ctrl: &mut Controller,
-        table: &mut PimHashTable,
-        sidecar: &HashMap<u64, (usize, usize)>,
-        seq: &pim_genome::DnaSequence,
-        k: usize,
-    ) -> Result<Option<(usize, usize)>> {
-        if seq.len() < k {
-            return Ok(None);
-        }
-        let kmer = Kmer::from_sequence(seq, 0, k)?;
-        let count = table.count(ctrl, &kmer)?;
-        if Dpu::is_zero(ctrl, count) {
-            Ok(None)
-        } else {
-            Ok(sidecar.get(&kmer.packed()).copied())
-        }
+        let mut exec = ScaffoldExec::new(ctrl, mapper, contigs.to_vec(), k, min_support)?;
+        exec.feed(ctrl, pairs)?;
+        exec.seal();
+        exec.finish(ctrl)
     }
 }
 
-/// The scaffold executor of the staged engine: the same index build +
-/// anchor + chain flow as [`ScaffoldStage::run`], consumable in chunks of
-/// read pairs. Chunk boundaries are invisible to the result and the
-/// ledger: anchoring is per-pair independent and charging is an
-/// order-independent integer sum, so any chunking of the same pair stream
-/// is byte-identical to the one-shot run (asserted in tests).
+/// The scaffold executor: index build, then anchoring, then chaining,
+/// consumable in chunks of read pairs. Chunk boundaries are invisible to
+/// the result and the ledger: anchoring is per-pair independent and
+/// charging is an order-independent integer sum, so any chunking of the
+/// same pair stream is byte-identical to the one-shot
+/// [`ScaffoldStage::run`] (asserted in tests).
 ///
 /// On resume the caller re-feeds the *full* pair stream: the first
 /// `cursor` pairs are buffered for the final chaining pass (which needs
@@ -137,15 +85,29 @@ pub struct ScaffoldExec {
     sealed: bool,
 }
 
+/// The host-side sidecar of the anchor index: k-mer → first
+/// `(contig, offset)` it occurs at. Hardware keeps this payload in value
+/// rows next to the k-mer; the sidecar mirrors it for result decoding and
+/// is a pure function of the contigs.
+fn sidecar(contigs: &[Contig], k: usize) -> Result<HashMap<u64, (usize, usize)>> {
+    let mut sidecar = HashMap::new();
+    for (ci, c) in contigs.iter().enumerate() {
+        for (off, kmer) in KmerIter::new(c.sequence(), k)?.enumerate() {
+            sidecar.entry(kmer.packed()).or_insert((ci, off));
+        }
+    }
+    Ok(sidecar)
+}
+
 impl ScaffoldExec {
-    /// Builds the anchor index over `contigs` (charged, exactly as the
-    /// one-shot stage does) and returns an executor ready to consume
-    /// pairs. The sidecar directory is a pure function of the contigs, so
-    /// it is rebuilt rather than checkpointed.
+    /// Loads every contig k-mer into the PIM anchor index (charged) and
+    /// returns an executor ready to consume pairs. The sidecar is rebuilt
+    /// rather than checkpointed.
     ///
     /// # Errors
     ///
-    /// As [`ScaffoldStage::run`]'s index build.
+    /// Propagates DRAM and genome-toolkit errors. The anchor index needs
+    /// `mapper` capacity for the distinct contig k-mers.
     pub fn new(
         ctrl: &mut Controller,
         mapper: KmerMapper,
@@ -156,17 +118,15 @@ impl ScaffoldExec {
         ctrl.set_stage(Stage::Scaffold);
         let mut stats = ScaffoldStats::default();
         let mut table = PimHashTable::new(mapper);
-        let mut sidecar: HashMap<u64, (usize, usize)> = HashMap::new();
-        for (ci, c) in contigs.iter().enumerate() {
-            for (off, kmer) in KmerIter::new(c.sequence(), k)?.enumerate() {
+        for c in &contigs {
+            for kmer in KmerIter::new(c.sequence(), k)? {
                 table.insert(ctrl, kmer)?;
-                sidecar.entry(kmer.packed()).or_insert((ci, off));
                 stats.index_kmers += 1;
             }
         }
         Ok(ScaffoldExec {
             table,
-            sidecar,
+            sidecar: sidecar(&contigs, k)?,
             contigs,
             k,
             min_support,
@@ -188,10 +148,8 @@ impl ScaffoldExec {
         for p in chunk {
             let idx = self.pairs.len() as u64;
             if idx >= self.anchored {
-                let a =
-                    ScaffoldStage::anchor(ctrl, &mut self.table, &self.sidecar, &p.r1.seq, self.k)?;
-                let b =
-                    ScaffoldStage::anchor(ctrl, &mut self.table, &self.sidecar, &p.r2.seq, self.k)?;
+                let a = self.anchor(ctrl, &p.r1.seq)?;
+                let b = self.anchor(ctrl, &p.r2.seq)?;
                 self.stats.anchor_queries += 2;
                 if a.is_some() && b.is_some() {
                     self.stats.pairs_anchored += 1;
@@ -203,13 +161,31 @@ impl ScaffoldExec {
         Ok(())
     }
 
+    /// Anchors a read by its first k-mer through a charged PIM lookup.
+    fn anchor(
+        &mut self,
+        ctrl: &mut Controller,
+        seq: &pim_genome::DnaSequence,
+    ) -> Result<Option<(usize, usize)>> {
+        if seq.len() < self.k {
+            return Ok(None);
+        }
+        let kmer = Kmer::from_sequence(seq, 0, self.k)?;
+        let count = self.table.count(ctrl, &kmer)?;
+        if Dpu::is_zero(ctrl, count) {
+            Ok(None)
+        } else {
+            Ok(self.sidecar.get(&kmer.packed()).copied())
+        }
+    }
+
     /// Marks the pair stream as exhausted.
     pub fn seal(&mut self) {
         self.sealed = true;
     }
 
-    /// Link voting + chaining over every buffered pair — identical to the
-    /// tail of [`ScaffoldStage::run`].
+    /// Link voting + chaining over every buffered pair (DPU scalar work,
+    /// one op per anchored pair and per link decision).
     ///
     /// # Errors
     ///
@@ -271,12 +247,6 @@ impl ScaffoldExec {
             &entries,
             hash_stats,
         )?;
-        let mut sidecar: HashMap<u64, (usize, usize)> = HashMap::new();
-        for (ci, c) in contigs.iter().enumerate() {
-            for (off, kmer) in KmerIter::new(c.sequence(), k)?.enumerate() {
-                sidecar.entry(kmer.packed()).or_insert((ci, off));
-            }
-        }
         let stats = ScaffoldStats {
             index_kmers: cp.field("scaffold.index_kmers"),
             anchor_queries: cp.field("scaffold.anchor_queries"),
@@ -285,7 +255,7 @@ impl ScaffoldExec {
         };
         Ok(ScaffoldExec {
             table,
-            sidecar,
+            sidecar: sidecar(&contigs, k)?,
             contigs,
             k,
             min_support,

@@ -787,9 +787,10 @@ impl Controller {
         self.contexts.keys().copied()
     }
 
-    /// Per-sub-array `(commands, busy_ns)` totals in address order — the
-    /// input shape of [`crate::schedule::queues_from_totals`] for makespan
-    /// estimation of the recorded traffic.
+    /// Per-sub-array `(commands, busy_ns)` totals in address order, for
+    /// makespan estimation of the recorded traffic:
+    /// [`crate::schedule::queues_from_totals`] turns each into one
+    /// `(commands, latency)` queue at the sub-array's average latency.
     pub fn subarray_command_totals(&self) -> Vec<(u64, f64)> {
         self.contexts
             .values()

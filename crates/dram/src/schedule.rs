@@ -13,9 +13,15 @@
 //! The scheduler is greedy earliest-ready-first, which is optimal for this
 //! two-resource model with equal-length commands per queue.
 
-/// One command queue (a sub-array's serial work), expressed as command
-/// latencies in nanoseconds.
-pub type CommandQueue = Vec<f64>;
+/// One command queue: a sub-array's serial work, `commands` commands of
+/// `latency_ns` nanoseconds each.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CommandQueue {
+    /// Commands in the queue.
+    pub commands: u64,
+    /// Latency of each command (ns).
+    pub latency_ns: f64,
+}
 
 /// Result of scheduling a set of queues.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,18 +42,22 @@ pub struct Schedule {
 /// # Examples
 ///
 /// ```
-/// use pim_dram::schedule::schedule;
+/// use pim_dram::schedule::{schedule, CommandQueue};
 ///
 /// // Two sub-arrays with two 47 ns commands each, fast bus: runs in ~94 ns.
-/// let s = schedule(&[vec![47.0, 47.0], vec![47.0, 47.0]], 1.0);
+/// let q = CommandQueue { commands: 2, latency_ns: 47.0 };
+/// let s = schedule(&[q, q], 1.0);
 /// assert!((s.makespan_ns - 96.0).abs() < 3.0);
 /// assert!(s.effective_parallelism > 1.9);
 /// ```
 pub fn schedule(queues: &[CommandQueue], issue_ns: f64) -> Schedule {
-    let serial_ns: f64 = queues.iter().flatten().sum();
-    let commands: usize = queues.iter().map(Vec::len).sum();
-    // Per-queue state: next command index and the time the sub-array frees.
-    let mut next = vec![0usize; queues.len()];
+    // Summed one command at a time, in queue order, so the serial time is
+    // the same float as summing a per-command latency list.
+    let serial_ns: f64 =
+        queues.iter().flat_map(|q| std::iter::repeat_n(q.latency_ns, q.commands as usize)).sum();
+    let commands = queues.iter().map(|q| q.commands as usize).sum();
+    // Per-queue state: commands left and the time the sub-array frees.
+    let mut left: Vec<u64> = queues.iter().map(|q| q.commands).collect();
     let mut free_at = vec![0f64; queues.len()];
     let mut bus_free = 0f64;
     let mut makespan = 0f64;
@@ -55,16 +65,16 @@ pub fn schedule(queues: &[CommandQueue], issue_ns: f64) -> Schedule {
     while remaining > 0 {
         // Earliest-ready queue: a command is ready when its sub-array is
         // free; it starts when both the sub-array and the bus are free.
+        // Ties go to the lowest queue index.
         let q = (0..queues.len())
-            .filter(|&q| next[q] < queues[q].len())
+            .filter(|&q| left[q] > 0)
             .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
             .expect("remaining > 0 implies a non-empty queue");
         let start = free_at[q].max(bus_free);
-        let latency = queues[q][next[q]];
         bus_free = start + issue_ns;
-        free_at[q] = start + latency;
+        free_at[q] = start + queues[q].latency_ns;
         makespan = makespan.max(free_at[q]);
-        next[q] += 1;
+        left[q] -= 1;
         remaining -= 1;
     }
     Schedule {
@@ -75,24 +85,22 @@ pub fn schedule(queues: &[CommandQueue], issue_ns: f64) -> Schedule {
     }
 }
 
-/// Builds uniform queues: `subarrays` queues of `per_queue` commands of
-/// `latency_ns` each (the hashmap stage's shape).
-pub fn uniform_queues(subarrays: usize, per_queue: usize, latency_ns: f64) -> Vec<CommandQueue> {
-    vec![vec![latency_ns; per_queue]; subarrays]
-}
-
 /// Builds one queue per sub-array from measured `(commands, busy_ns)`
 /// totals — the shape returned by
 /// [`crate::controller::Controller::subarray_command_totals`] — modeling
-/// each sub-array's traffic as `commands` equal-length commands. Feeding
-/// the result to [`schedule`] estimates the makespan (and effective
-/// parallelism) the recorded traffic would achieve if the sub-arrays ran
-/// concurrently under the shared command bus.
+/// each sub-array's traffic as `commands` equal-length commands of
+/// `busy_ns / commands` each. Feeding the result to [`schedule`]
+/// estimates the makespan (and effective parallelism) the recorded traffic
+/// would achieve if the sub-arrays ran concurrently under the shared
+/// command bus.
 pub fn queues_from_totals(totals: &[(u64, f64)]) -> Vec<CommandQueue> {
     totals
         .iter()
         .filter(|&&(commands, _)| commands > 0)
-        .map(|&(commands, busy_ns)| vec![busy_ns / commands as f64; commands as usize])
+        .map(|&(commands, busy_ns)| CommandQueue {
+            commands,
+            latency_ns: busy_ns / commands as f64,
+        })
         .collect()
 }
 
@@ -101,9 +109,13 @@ mod tests {
     use super::*;
     use crate::timing::TimingParams;
 
+    fn uniform(subarrays: usize, commands: u64, latency_ns: f64) -> Vec<CommandQueue> {
+        vec![CommandQueue { commands, latency_ns }; subarrays]
+    }
+
     #[test]
     fn single_queue_is_fully_serial() {
-        let s = schedule(&uniform_queues(1, 10, 47.0), 1.0);
+        let s = schedule(&uniform(1, 10, 47.0), 1.0);
         assert!((s.makespan_ns - 470.0).abs() < 10.0);
         assert!((s.effective_parallelism - 1.0).abs() < 0.05);
     }
@@ -115,9 +127,9 @@ mod tests {
         let t = TimingParams::ddr4_2133();
         let issue = 3.0 * t.t_ck_ns;
         let aap = t.aap_ns();
-        let p8 = schedule(&uniform_queues(8, 50, aap), issue).effective_parallelism;
-        let p16 = schedule(&uniform_queues(16, 50, aap), issue).effective_parallelism;
-        let p64 = schedule(&uniform_queues(64, 50, aap), issue).effective_parallelism;
+        let p8 = schedule(&uniform(8, 50, aap), issue).effective_parallelism;
+        let p16 = schedule(&uniform(16, 50, aap), issue).effective_parallelism;
+        let p64 = schedule(&uniform(64, 50, aap), issue).effective_parallelism;
         assert!((p8 - 8.0).abs() < 0.5, "8 queues: {p8}");
         assert!((p16 - 16.0).abs() < 1.0, "16 queues: {p16}");
         // Beyond the bus limit, adding sub-arrays cannot raise parallelism.
@@ -132,7 +144,7 @@ mod tests {
         // scheduled ground truth for AAP-class commands lands in the same
         // regime (tens, not hundreds).
         let t = TimingParams::ddr4_2133();
-        let s = schedule(&uniform_queues(256, 20, t.aap_ns()), 3.0 * t.t_ck_ns);
+        let s = schedule(&uniform(256, 20, t.aap_ns()), 3.0 * t.t_ck_ns);
         assert!(
             s.effective_parallelism > 10.0 && s.effective_parallelism < 25.0,
             "effective parallelism {}",
@@ -143,8 +155,8 @@ mod tests {
     #[test]
     fn mixed_latencies_schedule_correctly() {
         // One long queue dominates the makespan.
-        let mut queues = uniform_queues(4, 2, 10.0);
-        queues.push(vec![100.0; 5]);
+        let mut queues = uniform(4, 2, 10.0);
+        queues.push(CommandQueue { commands: 5, latency_ns: 100.0 });
         let s = schedule(&queues, 0.5);
         assert!(s.makespan_ns >= 500.0);
         assert_eq!(s.commands, 4 * 2 + 5);
@@ -160,9 +172,13 @@ mod tests {
     #[test]
     fn totals_build_average_latency_queues() {
         let queues = queues_from_totals(&[(4, 188.0), (0, 0.0), (2, 20.0)]);
-        assert_eq!(queues.len(), 2);
-        assert_eq!(queues[0], vec![47.0; 4]);
-        assert_eq!(queues[1], vec![10.0; 2]);
+        assert_eq!(
+            queues,
+            [
+                CommandQueue { commands: 4, latency_ns: 47.0 },
+                CommandQueue { commands: 2, latency_ns: 10.0 }
+            ]
+        );
         // Two independent sub-arrays overlap under a fast bus.
         let s = schedule(&queues, 0.5);
         assert!(s.effective_parallelism > 1.05);

@@ -8,6 +8,7 @@ use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
+use pim_dram::schedule::{queues_from_totals, schedule, CommandQueue, Schedule};
 use pim_dram::sense_amp::SaMode;
 use pim_dram::subarray::Subarray;
 
@@ -131,18 +132,45 @@ proptest! {
 
     #[test]
     fn schedule_lower_bounds_hold(
-        queues in proptest::collection::vec(proptest::collection::vec(1.0f64..100.0, 1..8), 1..12),
+        commands in proptest::collection::vec(1u64..8, 1..12),
+        latencies in proptest::collection::vec(1.0f64..100.0, 12),
         issue in 0.5f64..5.0,
     ) {
-        let s = pim_dram::schedule::schedule(&queues, issue);
+        let queues: Vec<CommandQueue> = commands
+            .into_iter()
+            .zip(latencies)
+            .map(|(commands, latency_ns)| CommandQueue { commands, latency_ns })
+            .collect();
+        let s = schedule(&queues, issue);
         // Makespan can never beat (1) the longest single queue, (2) the
         // serial time divided by the queue count, (3) the bus issue time.
-        let longest: f64 = queues.iter().map(|q| q.iter().sum::<f64>()).fold(0.0, f64::max);
+        let longest =
+            queues.iter().map(|q| q.commands as f64 * q.latency_ns).fold(0.0, f64::max);
         prop_assert!(s.makespan_ns + 1e-9 >= longest);
         prop_assert!(s.makespan_ns + 1e-9 >= s.serial_ns / queues.len() as f64);
         prop_assert!(s.makespan_ns + 1e-9 >= s.commands as f64 * issue - issue);
         // And it is no worse than fully serial execution.
         prop_assert!(s.makespan_ns <= s.serial_ns + s.commands as f64 * issue + 1e-9);
+    }
+
+    #[test]
+    fn schedule_matches_the_per_command_reference(
+        commands in proptest::collection::vec(0u64..48, 0..24),
+        busy in proptest::collection::vec(0.0f64..5_000.0, 24),
+        issue in 0.5f64..5.0,
+    ) {
+        // About a sixth of the entries have no commands, as untouched
+        // sub-arrays would.
+        let totals: Vec<(u64, f64)> =
+            commands.into_iter().map(|c| c.saturating_sub(8)).zip(busy).collect();
+        // The (commands, latency) queues must schedule to the very same
+        // floats as one latency entry per command.
+        let s = schedule(&queues_from_totals(&totals), issue);
+        let r = reference_schedule(&reference_queues(&totals), issue);
+        prop_assert_eq!(s.makespan_ns.to_bits(), r.makespan_ns.to_bits());
+        prop_assert_eq!(s.serial_ns.to_bits(), r.serial_ns.to_bits());
+        prop_assert_eq!(s.effective_parallelism.to_bits(), r.effective_parallelism.to_bits());
+        prop_assert_eq!(s.commands, r.commands);
     }
 
     #[test]
@@ -303,4 +331,45 @@ fn ledger_of(counts: &[u64], costs: &CommandCosts) -> EnergyLedger {
         ledger.charge_many(class, costs, count);
     }
     ledger
+}
+
+/// The per-command queue format `schedule` used to take: one latency per
+/// command, built from totals the way `queues_from_totals` once did.
+fn reference_queues(totals: &[(u64, f64)]) -> Vec<Vec<f64>> {
+    totals
+        .iter()
+        .filter(|&&(commands, _)| commands > 0)
+        .map(|&(commands, busy_ns)| vec![busy_ns / commands as f64; commands as usize])
+        .collect()
+}
+
+/// The per-command greedy scheduler, kept as the oracle for the
+/// `(commands, latency)` one.
+fn reference_schedule(queues: &[Vec<f64>], issue_ns: f64) -> Schedule {
+    let serial_ns: f64 = queues.iter().flatten().sum();
+    let commands: usize = queues.iter().map(Vec::len).sum();
+    let mut next = vec![0usize; queues.len()];
+    let mut free_at = vec![0f64; queues.len()];
+    let mut bus_free = 0f64;
+    let mut makespan = 0f64;
+    let mut remaining = commands;
+    while remaining > 0 {
+        let q = (0..queues.len())
+            .filter(|&q| next[q] < queues[q].len())
+            .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
+            .expect("remaining > 0 implies a non-empty queue");
+        let start = free_at[q].max(bus_free);
+        let latency = queues[q][next[q]];
+        bus_free = start + issue_ns;
+        free_at[q] = start + latency;
+        makespan = makespan.max(free_at[q]);
+        next[q] += 1;
+        remaining -= 1;
+    }
+    Schedule {
+        makespan_ns: makespan,
+        serial_ns,
+        effective_parallelism: if makespan > 0.0 { serial_ns / makespan } else { 0.0 },
+        commands,
+    }
 }

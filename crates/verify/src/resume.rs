@@ -11,6 +11,7 @@
 //! render it alongside the stage oracles.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use pim_assembler::checkpoint::prepare_dir;
 use pim_assembler::ir::OptLevel;
@@ -98,10 +99,13 @@ fn diff_runs(
     }
 }
 
-/// Scratch checkpoint directory unique to one matrix cell.
+/// Scratch checkpoint directory unique to one call: suites that run
+/// concurrently in one process never share (and delete) a directory.
 fn scratch_dir(workers: usize, opt: OptLevel) -> std::io::Result<PathBuf> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir()
-        .join(format!("pim-verify-resume-w{workers}-{opt:?}-{}", std::process::id()));
+        .join(format!("pim-verify-resume-w{workers}-{opt:?}-{}-{call}", std::process::id()));
     if dir.exists() {
         std::fs::remove_dir_all(&dir)?;
     }
@@ -192,6 +196,25 @@ mod tests {
         for report in &reports {
             assert!(report.passed(), "{}: {:?}", report.scenario, report.notes);
             assert!(report.compared >= 24, "both legs compared in {}", report.scenario);
+        }
+    }
+
+    #[test]
+    fn concurrent_suites_keep_their_checkpoints_apart() {
+        // Two suites with the same matrix cell on concurrent threads of
+        // one process: neither may delete the other's checkpoint.
+        let options = ResumeSuiteOptions {
+            genome_len: 200,
+            workers: vec![1],
+            opt_levels: vec![OptLevel::O0],
+            ..ResumeSuiteOptions::default()
+        };
+        let reports: Vec<Vec<OracleReport>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2).map(|_| s.spawn(|| resume_suite(&options))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for report in reports.iter().flatten() {
+            assert!(report.passed(), "{}: {:?}", report.scenario, report.notes);
         }
     }
 }

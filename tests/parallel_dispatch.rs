@@ -5,7 +5,10 @@
 //! the simulated machine's semantics cannot depend on host scheduling.
 
 use pim_assembler_suite::assembler::dispatch::ParallelDispatcher;
+use pim_assembler_suite::assembler::exec::StreamExecutor;
+use pim_assembler_suite::assembler::ir::OptLevel;
 use pim_assembler_suite::assembler::isa::{AapInstruction, InstructionStream};
+use pim_assembler_suite::assembler::template::{CompiledTemplate, Kernel, TemplateKey};
 use pim_assembler_suite::assembler::{PimAssembler, PimAssemblerConfig};
 use pim_assembler_suite::dram::address::{RowAddr, SubarrayId};
 use pim_assembler_suite::dram::bitrow::BitRow;
@@ -63,7 +66,9 @@ fn pipeline_results_are_identical_for_any_worker_count() {
 }
 
 /// Direct dispatcher check over ≥ 4 disjoint sub-array partitions:
-/// byte-identical array state and bit-identical cycle/energy totals.
+/// byte-identical array state and bit-identical cycle/energy totals
+/// against plain serial execution, for a hand-written XNOR stream and the
+/// compiled full adder at O0 and O2, at every worker count.
 #[test]
 fn four_plus_partitions_execute_byte_identically() {
     const PARTITIONS: usize = 6;
@@ -71,6 +76,7 @@ fn four_plus_partitions_execute_byte_identically() {
     let ids: Vec<SubarrayId> =
         (0..PARTITIONS).map(|i| SubarrayId::from_linear_index(&g, i)).collect();
 
+    // Rows 0..4 hold data; row 12 stays all-zero for the adder's constant.
     let seed = |ids: &[SubarrayId]| {
         let mut ctrl = Controller::new(g);
         for (n, &id) in ids.iter().enumerate() {
@@ -84,10 +90,10 @@ fn four_plus_partitions_execute_byte_identically() {
 
     let x0 = RowAddr(g.compute_row(0));
     let x1 = RowAddr(g.compute_row(1));
-    let mut stream = InstructionStream::new();
+    let mut xnor = InstructionStream::new();
     for round in 0..64usize {
         for &id in &ids {
-            stream.extend([
+            xnor.extend([
                 AapInstruction::Copy {
                     subarray: id,
                     src: RowAddr(round % 4),
@@ -110,23 +116,50 @@ fn four_plus_partitions_execute_byte_identically() {
             ]);
         }
     }
-    assert!(stream.split_by_subarray().len() >= 4, "must exercise at least four partitions");
-
-    let mut serial = seed(&ids);
-    ParallelDispatcher::serial().execute(&mut serial, &stream).unwrap();
-
-    for workers in [2usize, 4, 8] {
-        let mut parallel = seed(&ids);
-        ParallelDispatcher::with_workers(workers).execute(&mut parallel, &stream).unwrap();
-        assert_eq!(*serial.stats(), *parallel.stats(), "workers={workers}: command totals");
-        assert_eq!(serial.ledger(), parallel.ledger(), "workers={workers}: cycle/energy ledger");
+    // One compiled full adder per sub-array, `rows 0 + 1 + 2 → 13, 14`.
+    let adder = |opt: OptLevel| {
+        let key = TemplateKey::new(Kernel::FullAdder, g.cols, g.cols).with_opt(opt);
+        let adder = CompiledTemplate::compile(key);
+        let ctrl = seed(&ids);
+        let mut stream = InstructionStream::new();
         for &id in &ids {
-            for row in 0..g.rows {
-                assert_eq!(
-                    serial.peek_row(id, row).unwrap(),
-                    parallel.peek_row(id, row).unwrap(),
-                    "workers={workers}: row {row} of {id:?} diverged"
-                );
+            let mut rows = [RowAddr(0); 24];
+            let n = adder
+                .bind_roles_into(
+                    &ctrl,
+                    &[RowAddr(0), RowAddr(1), RowAddr(2)],
+                    &[RowAddr(13), RowAddr(14)],
+                    RowAddr(12),
+                    &[],
+                    &mut rows,
+                )
+                .unwrap();
+            stream.extend(adder.to_stream(id, &rows[..n]).instructions().iter().copied());
+        }
+        stream
+    };
+    let streams =
+        [("xnor", xnor), ("adder O0", adder(OptLevel::O0)), ("adder O2", adder(OptLevel::O2))];
+
+    for (name, stream) in &streams {
+        assert!(stream.split_by_subarray().len() >= 4, "must exercise at least four partitions");
+        let mut serial = seed(&ids);
+        StreamExecutor::execute_stream(&mut serial, stream).unwrap();
+
+        for workers in [1usize, 2, 4, 8] {
+            let mut parallel = seed(&ids);
+            ParallelDispatcher::with_workers(workers).execute(&mut parallel, stream).unwrap();
+            let at = format!("{name}, workers={workers}");
+            assert_eq!(*serial.stats(), *parallel.stats(), "{at}: command totals");
+            assert_eq!(serial.ledger(), parallel.ledger(), "{at}: cycle/energy ledger");
+            for &id in &ids {
+                for row in 0..g.rows {
+                    assert_eq!(
+                        serial.peek_row(id, row).unwrap(),
+                        parallel.peek_row(id, row).unwrap(),
+                        "{at}: row {row} of {id:?} diverged"
+                    );
+                }
             }
         }
     }
