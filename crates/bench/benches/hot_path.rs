@@ -11,7 +11,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use pim_assembler::exec::StreamExecutor;
-use pim_assembler::programs::xnor_program;
 use pim_assembler::template::{CompiledTemplate, Kernel, TemplateKey};
 use pim_dram::address::RowAddr;
 use pim_dram::bitrow::BitRow;
@@ -72,15 +71,9 @@ fn bench_stream_exec(c: &mut Criterion) {
     let cols = ctrl.geometry().cols;
     ctrl.write_row(id, 1, &BitRow::from_fn(cols, |i| i % 2 == 0)).unwrap();
     ctrl.write_row(id, 2, &BitRow::from_fn(cols, |i| i % 3 == 0)).unwrap();
-    let program = xnor_program(
-        id,
-        RowAddr(1),
-        RowAddr(2),
-        RowAddr(5),
-        ctrl.compute_row(0),
-        ctrl.compute_row(1),
-        cols,
-    );
+    let rows = [RowAddr(1), RowAddr(2), RowAddr(5), ctrl.compute_row(0), ctrl.compute_row(1)];
+    let program =
+        CompiledTemplate::compile(TemplateKey::new(Kernel::Xnor, cols, cols)).to_stream(id, &rows);
     c.bench_function("hot_stream_exec_xnor", |b| {
         b.iter(|| {
             StreamExecutor::execute_stream(&mut ctrl, black_box(&program)).unwrap();

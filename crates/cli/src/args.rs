@@ -49,6 +49,23 @@ const VALUE_KEYS: [&str; 28] = [
     "resume",
 ];
 
+/// A numeric option whose value does not parse.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadNumber {
+    /// The option key, without the leading `--`.
+    pub key: String,
+    /// The value given on the command line.
+    pub value: String,
+}
+
+impl std::fmt::Display for BadNumber {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "--{} expects a number, got {:?}", self.key, self.value)
+    }
+}
+
+impl std::error::Error for BadNumber {}
+
 impl ParsedArgs {
     /// Parses an argument vector (without the program name).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Self {
@@ -74,13 +91,14 @@ impl ParsedArgs {
 
     /// A numeric option with a default.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a readable message when the value does not parse.
-    pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+    /// [`BadNumber`] naming the flag and its value when the value does
+    /// not parse.
+    pub fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, BadNumber> {
         match self.options.get(key) {
-            Some(v) => v.parse().unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}")),
-            None => default,
+            Some(v) => v.parse().map_err(|_| BadNumber { key: key.to_string(), value: v.clone() }),
+            None => Ok(default),
         }
     }
 
@@ -113,8 +131,8 @@ mod tests {
     #[test]
     fn options_and_flags() {
         let a = parse("assemble in.fa --k 21 --min-count 2 --correct --output out.fa");
-        assert_eq!(a.get_num("k", 0usize), 21);
-        assert_eq!(a.get_num("min-count", 1u64), 2);
+        assert_eq!(a.get_num("k", 0usize), Ok(21));
+        assert_eq!(a.get_num("min-count", 1u64), Ok(2));
         assert!(a.has_flag("correct"));
         assert_eq!(a.get_str("output"), Some("out.fa"));
     }
@@ -122,13 +140,14 @@ mod tests {
     #[test]
     fn defaults_apply() {
         let a = parse("assemble in.fa");
-        assert_eq!(a.get_num("k", 17usize), 17);
+        assert_eq!(a.get_num("k", 17usize), Ok(17));
         assert!(!a.has_flag("correct"));
     }
 
     #[test]
-    #[should_panic(expected = "expects a number")]
-    fn bad_number_panics() {
-        parse("assemble --k banana").get_num::<usize>("k", 0);
+    fn bad_number_is_an_error() {
+        let err = parse("assemble --k banana").get_num::<usize>("k", 0).unwrap_err();
+        assert_eq!(err, BadNumber { key: "k".into(), value: "banana".into() });
+        assert_eq!(err.to_string(), "--k expects a number, got \"banana\"");
     }
 }

@@ -186,11 +186,12 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
     use pim_assembler::checkpoint::prepare_dir;
     use pim_assembler::Session;
     let input = args.positional.first().ok_or("assemble needs an input reads file")?;
-    let k: usize = args.get_num("k", 17);
+    let k: usize = args.get_num("k", 17)?;
     let chunk_reads: Option<usize> = args
         .options
-        .get("chunk-reads")
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("--chunk-reads expects a number, got {v:?}")));
+        .contains_key("chunk-reads")
+        .then(|| args.get_num("chunk-reads", 0))
+        .transpose()?;
     let checkpoint_dir = args.get_str("checkpoint-dir");
     let resume_dir = args.get_str("resume");
     if checkpoint_dir.is_some() && resume_dir.is_some() {
@@ -204,16 +205,16 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
         );
     }
 
-    let workers: usize = args.get_num("workers", 1);
+    let workers: usize = args.get_num("workers", 1)?;
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
     let metrics_out = args.get_str("metrics-out");
     let trace_out = args.get_str("trace-out");
     let mut config = PimAssemblerConfig::paper(k)
-        .with_min_count(args.get_num("min-count", 1))
-        .with_pd(args.get_num("pd", 2))
-        .with_hash_subarrays(args.get_num("subarrays", 32))
+        .with_min_count(args.get_num("min-count", 1)?)
+        .with_pd(args.get_num("pd", 2)?)
+        .with_hash_subarrays(args.get_num("subarrays", 32)?)
         .with_workers(workers)
         .with_observability(metrics_out.is_some() || trace_out.is_some());
     if let Some(tips) = args.options.get("simplify") {
@@ -313,8 +314,8 @@ pub fn simulate(args: &ParsedArgs) -> CliResult {
     let input = args.positional.first().ok_or("simulate needs a genome FASTA")?;
     let records = read_fasta(BufReader::new(File::open(input)?))?;
     let genome = &records.first().ok_or("empty FASTA")?.seq;
-    let coverage: f64 = args.get_num("coverage", 25.0);
-    let seed: u64 = args.get_num("seed", 42);
+    let coverage: f64 = args.get_num("coverage", 25.0)?;
+    let seed: u64 = args.get_num("seed", 42)?;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let reads = ReadSimulator::new(101, coverage).simulate(genome, &mut rng);
     let out = args.get_str("output").unwrap_or("reads.fasta");
@@ -396,18 +397,18 @@ pub fn map(args: &ParsedArgs) -> CliResult {
     use pim_assembler::mapping_stage::{run_mapping, MappingRunConfig};
     let defaults = MappingRunConfig::default();
     let config = MappingRunConfig {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        read_len: args.get_num("read-len", defaults.read_len),
-        coverage: args.get_num("coverage", 4.0),
-        error_rate: args.get_num("error-rate", 0.02),
-        seed: args.get_num("seed", defaults.seed),
+        genome_len: args.get_num("genome-len", defaults.genome_len)?,
+        read_len: args.get_num("read-len", defaults.read_len)?,
+        coverage: args.get_num("coverage", 4.0)?,
+        error_rate: args.get_num("error-rate", 0.02)?,
+        seed: args.get_num("seed", defaults.seed)?,
         backend: match args.get_str("backend") {
             Some(name) => parse_backend(name)?,
             None => defaults.backend,
         },
         opt: parse_opt_level(args)?,
-        workers: args.get_num("workers", 0),
-        fault_rate: args.get_num("faults", 0.0),
+        workers: args.get_num("workers", 0)?,
+        fault_rate: args.get_num("faults", 0.0)?,
         ..defaults
     };
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -464,10 +465,10 @@ pub fn verify(args: &ParsedArgs) -> CliResult {
             .collect::<Result<Vec<f64>, _>>()?,
     };
     let options = SuiteOptions {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        k: args.get_num("k", defaults.k),
-        min_count: args.get_num("min-count", defaults.min_count),
-        seed: args.get_num("seed", defaults.seed),
+        genome_len: args.get_num("genome-len", defaults.genome_len)?,
+        k: args.get_num("k", defaults.k)?,
+        min_count: args.get_num("min-count", defaults.min_count)?,
+        seed: args.get_num("seed", defaults.seed)?,
         fault_rates,
     };
     let report = standard_suite(&options);
@@ -498,11 +499,11 @@ fn verify_mapping(args: &ParsedArgs) -> CliResult {
         Some(name) => vec![parse_backend(name)?],
     };
     let options = MappingSuiteOptions {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        read_len: args.get_num("read-len", defaults.read_len),
-        coverage: args.get_num("coverage", defaults.coverage),
-        error_rate: args.get_num("error-rate", defaults.error_rate),
-        seed: args.get_num("seed", defaults.seed),
+        genome_len: args.get_num("genome-len", defaults.genome_len)?,
+        read_len: args.get_num("read-len", defaults.read_len)?,
+        coverage: args.get_num("coverage", defaults.coverage)?,
+        error_rate: args.get_num("error-rate", defaults.error_rate)?,
+        seed: args.get_num("seed", defaults.seed)?,
         opt: parse_opt_level(args)?,
         backends,
         fault_rates,
@@ -523,9 +524,9 @@ fn verify_resume(args: &ParsedArgs) -> CliResult {
     use pim_verify::{resume_suite, ResumeSuiteOptions, VerifyReport};
     let defaults = ResumeSuiteOptions::default();
     let options = ResumeSuiteOptions {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        k: args.get_num("k", defaults.k),
-        seed: args.get_num("seed", defaults.seed),
+        genome_len: args.get_num("genome-len", defaults.genome_len)?,
+        k: args.get_num("k", defaults.k)?,
+        seed: args.get_num("seed", defaults.seed)?,
         ..defaults
     };
     let report = VerifyReport { oracles: resume_suite(&options), ..VerifyReport::default() };
@@ -545,10 +546,10 @@ fn verify_backends(args: &ParsedArgs) -> CliResult {
     let name = args.get_str("backend").expect("caller checked --backend");
     let defaults = BackendSuiteOptions::default();
     let options = BackendSuiteOptions {
-        genome_len: args.get_num("genome-len", defaults.genome_len),
-        k: args.get_num("k", defaults.k),
-        min_count: args.get_num("min-count", defaults.min_count),
-        seed: args.get_num("seed", defaults.seed),
+        genome_len: args.get_num("genome-len", defaults.genome_len)?,
+        k: args.get_num("k", defaults.k)?,
+        min_count: args.get_num("min-count", defaults.min_count)?,
+        seed: args.get_num("seed", defaults.seed)?,
         opt: parse_opt_level(args)?,
     };
     let report = match name {
@@ -565,8 +566,8 @@ fn verify_backends(args: &ParsedArgs) -> CliResult {
 
 /// `pim-asm bench`.
 pub fn bench(args: &ParsedArgs) -> CliResult {
-    let iters: u64 = args.get_num("iters", 100_000);
-    let genome_len: usize = args.get_num("genome-len", 3000);
+    let iters: u64 = args.get_num("iters", 100_000)?;
+    let genome_len: usize = args.get_num("genome-len", 3000)?;
     let backend = match args.get_str("backend") {
         Some(name) => parse_backend(name)?,
         None => pim_assembler::ir::BackendKind::PimAssembler,
@@ -612,8 +613,8 @@ pub fn ir(args: &ParsedArgs) -> CliResult {
         None => BackendKind::PimAssembler,
     };
     let opt = parse_opt_level(args)?;
-    let cols: usize = args.get_num("cols", 256);
-    let slots: usize = args.get_num("slots", pim_dram::geometry::COMPUTE_ROWS);
+    let cols: usize = args.get_num("cols", 256)?;
+    let slots: usize = args.get_num("slots", pim_dram::geometry::COMPUTE_ROWS)?;
     if cols == 0 || slots == 0 {
         return Err("--cols and --slots must be at least 1".into());
     }
@@ -771,6 +772,16 @@ mod tests {
             ["verify", "--genome-len", "300", "--faults", "none"].map(String::from),
         );
         verify(&args).unwrap();
+    }
+
+    #[test]
+    fn non_numeric_flags_are_errors_naming_the_flag() {
+        for flag in ["--k", "--chunk-reads"] {
+            let args =
+                ParsedArgs::parse(["assemble", "reads.fasta", flag, "banana"].map(String::from));
+            let err = assemble(&args).unwrap_err().to_string();
+            assert!(err.contains(flag) && err.contains("banana"), "{err}");
+        }
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! exact command/energy accounting ([`EnergyLedger`] per touched
 //! sub-array plus the global and stage-boundary ledgers, all integer
 //! fields), the deterministic metrics accumulated so far, and the
-//! stage-specific payload each [`crate::stages::Stage`] serializes for
-//! itself (hash-table entries, graph survivors, …).
+//! stage-specific payload: the hash-table entries
+//! ([`crate::hashmap_stage::HashmapExec::save`]) while ingesting, or the
+//! graph survivors ([`crate::graph_stage::GraphStage::format_survivors`])
+//! once the graph is built.
 //!
 //! The on-disk format is a line-oriented text file — `key = value`
 //! scalars plus `[section]` blocks — written atomically (temp file +
@@ -41,8 +43,7 @@ pub struct StageCheckpoint {
     /// run completed).
     pub stage: String,
     /// Progress cursor inside the current stage (reads consumed for the
-    /// hashmap stage, pairs anchored for scaffold, reads mapped for
-    /// mapping; 0 for single-chunk stages).
+    /// hashmap and graph stages; 0 for the single-step stages after them).
     pub cursor: u64,
     /// Scalar facts (read totals, stage statistics, …).
     pub fields: BTreeMap<String, u64>,

@@ -13,6 +13,7 @@ use pim_genome::debruijn::DeBruijnGraph;
 use pim_genome::kmer::Kmer;
 use pim_obsv::Metric;
 
+use crate::checkpoint::StageCheckpoint;
 use crate::dispatch::ParallelDispatcher;
 use crate::error::Result;
 use crate::hashmap_stage::PimHashTable;
@@ -29,6 +30,24 @@ pub struct GraphStats {
     pub edges_inserted: u64,
     /// `MEM_insert` row writes performed for nodes + edge lists.
     pub mem_inserts: u64,
+}
+
+impl GraphStats {
+    /// Writes the statistics as the checkpoint's `graph.*` fields.
+    pub fn to_checkpoint(&self, cp: &mut StageCheckpoint) {
+        cp.fields.insert("graph.scanned".into(), self.scanned);
+        cp.fields.insert("graph.edges_inserted".into(), self.edges_inserted);
+        cp.fields.insert("graph.mem_inserts".into(), self.mem_inserts);
+    }
+
+    /// Reads the `graph.*` fields written by [`GraphStats::to_checkpoint`].
+    pub fn from_checkpoint(cp: &StageCheckpoint) -> Self {
+        GraphStats {
+            scanned: cp.field("graph.scanned"),
+            edges_inserted: cp.field("graph.edges_inserted"),
+            mem_inserts: cp.field("graph.mem_inserts"),
+        }
+    }
 }
 
 /// Full output of a retaining graph build: the graph, its partitioning,
@@ -66,34 +85,15 @@ impl GraphStage {
     }
 
     /// [`GraphStage::build`] with the hash-table scan dispatched across
-    /// sub-arrays (see [`PimHashTable::scan_with_dispatcher`]). The graph
-    /// construction and `MEM_insert` writes stay serial — they address a
-    /// single graph region — so the result and command totals are
-    /// identical to [`GraphStage::build`] for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DRAM addressing errors.
-    pub fn build_with_dispatcher(
-        ctrl: &mut Controller,
-        dispatcher: &ParallelDispatcher,
-        table: &PimHashTable,
-        min_count: u64,
-        graph_region: SubarrayId,
-        intervals: usize,
-    ) -> Result<(DeBruijnGraph, Partitioning, GraphStats)> {
-        let entries = table.scan_with_dispatcher(ctrl, dispatcher)?;
-        let (graph, partitioning, stats, _) =
-            Self::construct(ctrl, table, entries, min_count, graph_region, intervals)?;
-        Ok((graph, partitioning, stats))
-    }
-
-    /// [`GraphStage::build_with_dispatcher`] additionally returning the
-    /// post-filter survivors in scan order — the checkpoint payload from
-    /// which [`GraphStage::rebuild`] reconstructs the identical graph on
-    /// resume (node ids are assigned by first-reference order during
-    /// `add_kmer`, so replaying the same entry order reproduces the same
-    /// numbering).
+    /// sub-arrays (see [`PimHashTable::scan_with_dispatcher`]), also
+    /// returning the post-filter survivors in scan order — the checkpoint
+    /// payload from which [`GraphStage::rebuild`] reconstructs the
+    /// identical graph on resume (node ids are assigned by first-reference
+    /// order during `add_kmer`, so replaying the same entry order
+    /// reproduces the same numbering). The graph construction and
+    /// `MEM_insert` writes stay serial — they address a single graph
+    /// region — so the result and command totals are identical to
+    /// [`GraphStage::build`] for any worker count.
     ///
     /// # Errors
     ///
@@ -129,8 +129,18 @@ impl GraphStage {
         (graph, partitioning)
     }
 
-    /// Parses the `graph` checkpoint list written by the stage executors
-    /// (`packed k count` per line) back into the survivor entries.
+    /// Formats survivors as the `graph` checkpoint list, one
+    /// `packed k count` line per entry; [`GraphStage::parse_survivors`]
+    /// reads it back.
+    pub fn format_survivors(survivors: &[(Kmer, u64)]) -> Vec<String> {
+        survivors
+            .iter()
+            .map(|(kmer, count)| format!("{} {} {count}", kmer.packed(), kmer.k()))
+            .collect()
+    }
+
+    /// Parses the `graph` checkpoint list written by
+    /// [`GraphStage::format_survivors`] back into the survivor entries.
     ///
     /// # Errors
     ///
@@ -198,98 +208,6 @@ impl GraphStage {
         let f = ctrl.geometry().cols.min(ctrl.geometry().rows);
         let partitioning = IntervalBlockPartitioner::new(intervals.max(1), f).partition(&graph);
         Ok((graph, partitioning, stats, survivors))
-    }
-}
-
-/// Output artifact of the graph stage: the materialized graph, its
-/// partitioning, the stage statistics, and the post-filter survivors that
-/// reconstruct it on resume.
-#[derive(Debug, Clone)]
-pub struct GraphArtifact {
-    /// The de Bruijn graph (pre-simplification).
-    pub graph: DeBruijnGraph,
-    /// The interval-block partitioning.
-    pub partitioning: Partitioning,
-    /// Stage statistics.
-    pub stats: GraphStats,
-    /// Post-filter `(kmer, count)` entries in scan order.
-    pub survivors: Vec<(Kmer, u64)>,
-}
-
-/// The stage-2 executor of the staged engine: a single-chunk stage that
-/// consumes the sealed hash table and materializes the graph. Its
-/// checkpoint payload is the survivor list, from which
-/// [`GraphStage::rebuild`] reconstructs the identical graph purely
-/// host-side.
-#[derive(Debug, Clone)]
-pub struct GraphExec {
-    table: Option<PimHashTable>,
-    graph_region: SubarrayId,
-    intervals: usize,
-    built: Option<GraphArtifact>,
-}
-
-impl GraphExec {
-    /// An executor over the sealed stage-1 table.
-    pub fn new(table: PimHashTable, graph_region: SubarrayId, intervals: usize) -> Self {
-        GraphExec { table: Some(table), graph_region, intervals, built: None }
-    }
-}
-
-impl crate::stages::Stage for GraphExec {
-    type Chunk = ();
-    type Artifact = GraphArtifact;
-
-    fn name(&self) -> &'static str {
-        "graph"
-    }
-
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor { done: self.built.is_some() as u64, total: Some(1) }
-    }
-
-    fn is_done(&self) -> bool {
-        self.built.is_some()
-    }
-
-    fn advance(&mut self, env: &mut crate::stages::StageEnv<'_>, _chunk: ()) -> Result<()> {
-        let table = self.table.take().expect("graph stage advances exactly once");
-        let (graph, partitioning, stats, survivors) = GraphStage::build_retaining(
-            env.ctrl,
-            env.dispatcher,
-            &table,
-            env.config.min_count,
-            self.graph_region,
-            self.intervals,
-        )?;
-        self.built = Some(GraphArtifact { graph, partitioning, stats, survivors });
-        Ok(())
-    }
-
-    fn save(
-        &self,
-        _env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
-        let art = self.built.as_ref().ok_or_else(|| crate::error::PimError::Checkpoint {
-            reason: "graph stage checkpoints only at its boundary".into(),
-        })?;
-        let lines = art
-            .survivors
-            .iter()
-            .map(|(kmer, count)| format!("{} {} {count}", kmer.packed(), kmer.k()))
-            .collect();
-        cp.lists.insert("graph".into(), lines);
-        cp.fields.insert("graph.scanned".into(), art.stats.scanned);
-        cp.fields.insert("graph.edges_inserted".into(), art.stats.edges_inserted);
-        cp.fields.insert("graph.mem_inserts".into(), art.stats.mem_inserts);
-        Ok(())
-    }
-
-    fn into_artifact(self, _env: &mut crate::stages::StageEnv<'_>) -> Result<GraphArtifact> {
-        self.built.ok_or_else(|| crate::error::PimError::Checkpoint {
-            reason: "graph stage not yet advanced".into(),
-        })
     }
 }
 

@@ -24,6 +24,8 @@ use pim_genome::kmer::{Kmer, KmerIter};
 use pim_genome::reads::Read;
 use pim_obsv::{HistKey, Metric};
 
+use crate::checkpoint::StageCheckpoint;
+use crate::config::PimAssemblerConfig;
 use crate::dispatch::ParallelDispatcher;
 use crate::dpu::Dpu;
 use crate::error::{PimError, Result};
@@ -61,6 +63,26 @@ impl HashStats {
         self.probes += other.probes;
         self.hits += other.hits;
         self.shadow_mismatches += other.shadow_mismatches;
+    }
+
+    /// Writes the statistics as the checkpoint's `hash.*` fields.
+    pub fn to_checkpoint(&self, cp: &mut StageCheckpoint) {
+        cp.fields.insert("hash.inserted_total".into(), self.inserted_total);
+        cp.fields.insert("hash.distinct".into(), self.distinct);
+        cp.fields.insert("hash.probes".into(), self.probes);
+        cp.fields.insert("hash.hits".into(), self.hits);
+        cp.fields.insert("hash.shadow_mismatches".into(), self.shadow_mismatches);
+    }
+
+    /// Reads the `hash.*` fields written by [`HashStats::to_checkpoint`].
+    pub fn from_checkpoint(cp: &StageCheckpoint) -> Self {
+        HashStats {
+            inserted_total: cp.field("hash.inserted_total"),
+            distinct: cp.field("hash.distinct"),
+            probes: cp.field("hash.probes"),
+            hits: cp.field("hash.hits"),
+            shadow_mismatches: cp.field("hash.shadow_mismatches"),
+        }
     }
 }
 
@@ -491,26 +513,27 @@ impl PimHashTable {
     }
 }
 
-/// The stage-1 executor of the staged engine: chunked read ingestion into
-/// the in-DRAM hash table. Each [`HashmapExec::feed`] call streams one
-/// chunk of reads (charging that chunk's host row writes), chops it into
-/// k-mers, and batch-inserts them; chunk boundaries are invisible to the
-/// final table state and accounting because per-sub-array arrival order
-/// is preserved and ledger charging is an order-independent sum.
+/// The stage-1 executor: chunked read ingestion into the in-DRAM hash
+/// table. Each [`HashmapExec::feed`] call streams one chunk of reads
+/// (charging that chunk's host row writes), chops it into k-mers, and
+/// batch-inserts them; chunk boundaries are invisible to the final table
+/// state and accounting because per-sub-array arrival order is preserved
+/// and ledger charging is an order-independent sum.
 #[derive(Debug, Clone)]
 pub struct HashmapExec {
     table: PimHashTable,
-    reads_consumed: u64,
-    kmer_count: u64,
-    sealed: bool,
+    k: usize,
 }
 
 impl HashmapExec {
     /// An empty executor over the configuration's hash partition.
-    pub fn new(config: &crate::config::PimAssemblerConfig) -> Self {
-        let mapper = KmerMapper::new(&config.geometry, config.hash_subarrays, config.bucket_rows);
-        let table = PimHashTable::with_backend(mapper, BackendKind::PimAssembler, config.opt_level);
-        HashmapExec { table, reads_consumed: 0, kmer_count: 0, sealed: false }
+    pub fn new(config: &PimAssemblerConfig) -> Self {
+        let table = PimHashTable::with_backend(
+            hash_mapper(config),
+            BackendKind::PimAssembler,
+            config.opt_level,
+        );
+        HashmapExec { table, k: config.k }
     }
 
     /// Ingests one chunk of reads, returning the number of k-mers the
@@ -520,36 +543,28 @@ impl HashmapExec {
     ///
     /// [`PimError::SubarrayFull`] when the hash partition overflows, plus
     /// DRAM addressing errors.
-    pub fn feed(&mut self, env: &mut crate::stages::StageEnv<'_>, reads: &[Read]) -> Result<u64> {
-        let cols = env.config.geometry.cols as u64;
+    pub fn feed(
+        &mut self,
+        ctrl: &mut Controller,
+        dispatcher: &ParallelDispatcher,
+        reads: &[Read],
+    ) -> Result<u64> {
+        let cols = ctrl.geometry().cols as u64;
         // Stream the chunk into the original sequence bank: one host row
         // write per 128 bp of read data (the one-shot path charges the
         // same total up front; charge_many additivity makes the split
         // invisible to the ledger).
         let stream_rows: u64 =
             reads.iter().map(|r| ((r.seq.len() * 2) as u64).div_ceil(cols)).sum();
-        env.ctrl.record_synthetic("WR", stream_rows);
+        ctrl.record_synthetic("WR", stream_rows);
         let mut kmers = Vec::new();
         for read in reads {
-            for kmer in KmerIter::new(&read.seq, env.config.k)? {
+            for kmer in KmerIter::new(&read.seq, self.k)? {
                 kmers.push(kmer);
             }
         }
-        self.table.insert_batch(env.ctrl, env.dispatcher, &kmers)?;
-        self.reads_consumed += reads.len() as u64;
-        self.kmer_count += kmers.len() as u64;
+        self.table.insert_batch(ctrl, dispatcher, &kmers)?;
         Ok(kmers.len() as u64)
-    }
-
-    /// Marks the read stream as exhausted; further `feed` calls are a
-    /// contract violation the session guards against.
-    pub fn seal(&mut self) {
-        self.sealed = true;
-    }
-
-    /// Total k-mers offered so far.
-    pub fn kmer_count(&self) -> u64 {
-        self.kmer_count
     }
 
     /// The table under construction.
@@ -557,18 +572,45 @@ impl HashmapExec {
         &self.table
     }
 
-    /// Reconstructs an executor from a checkpoint payload written by
-    /// [`crate::stages::Stage::save`]. Uncharged — see
-    /// [`PimHashTable::restore_entries`].
+    /// Consumes the executor, yielding the table for the graph stage.
+    pub fn into_table(self) -> PimHashTable {
+        self.table
+    }
+
+    /// Writes the table's `hash` checkpoint list — one
+    /// `sub row packed k count` line per stored entry — read back by
+    /// [`HashmapExec::restore`]. Uncharged: see
+    /// [`PimHashTable::export_entries`].
+    ///
+    /// # Errors
+    ///
+    /// DRAM addressing errors while exporting device state.
+    pub fn save(&self, ctrl: &mut Controller, cp: &mut StageCheckpoint) -> Result<()> {
+        let lines = self
+            .table
+            .export_entries(ctrl)?
+            .iter()
+            .map(|(sub, row, kmer, count)| {
+                format!("{sub} {row} {} {} {count}", kmer.packed(), kmer.k())
+            })
+            .collect();
+        cp.lists.insert("hash".into(), lines);
+        Ok(())
+    }
+
+    /// Reconstructs an executor from the `hash` list written by
+    /// [`HashmapExec::save`], with `stats` as the table's statistics.
+    /// Uncharged — see [`PimHashTable::restore_entries`].
     ///
     /// # Errors
     ///
     /// [`PimError::Checkpoint`] on a malformed payload; DRAM addressing
     /// errors while restoring rows.
     pub fn restore(
-        env: &mut crate::stages::StageEnv<'_>,
-        cp: &crate::checkpoint::StageCheckpoint,
-        sealed: bool,
+        config: &PimAssemblerConfig,
+        ctrl: &mut Controller,
+        cp: &StageCheckpoint,
+        stats: HashStats,
     ) -> Result<Self> {
         let malformed =
             |line: &str| PimError::Checkpoint { reason: format!("bad hash entry `{line}`") };
@@ -584,81 +626,21 @@ impl HashmapExec {
             let kmer = Kmer::from_packed(packed, k).map_err(|_| malformed(line))?;
             entries.push((sub_idx, row, kmer, count));
         }
-        let stats = HashStats {
-            inserted_total: cp.field("hash.inserted_total"),
-            distinct: cp.field("hash.distinct"),
-            probes: cp.field("hash.probes"),
-            hits: cp.field("hash.hits"),
-            shadow_mismatches: cp.field("hash.shadow_mismatches"),
-        };
-        let config = env.config;
-        let mapper = KmerMapper::new(&config.geometry, config.hash_subarrays, config.bucket_rows);
         let table = PimHashTable::restore_entries(
-            mapper,
+            hash_mapper(config),
             BackendKind::PimAssembler,
             config.opt_level,
-            env.ctrl,
+            ctrl,
             &entries,
             stats,
         )?;
-        Ok(HashmapExec {
-            table,
-            reads_consumed: cp.cursor,
-            kmer_count: cp.field("kmer_count"),
-            sealed,
-        })
+        Ok(HashmapExec { table, k: config.k })
     }
 }
 
-impl crate::stages::Stage for HashmapExec {
-    type Chunk = Vec<Read>;
-    type Artifact = PimHashTable;
-
-    fn name(&self) -> &'static str {
-        "hashmap"
-    }
-
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor {
-            done: self.reads_consumed,
-            total: self.sealed.then_some(self.reads_consumed),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.sealed
-    }
-
-    fn advance(&mut self, env: &mut crate::stages::StageEnv<'_>, chunk: Vec<Read>) -> Result<()> {
-        self.feed(env, &chunk).map(|_| ())
-    }
-
-    fn save(
-        &self,
-        env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
-        let entries = self.table.export_entries(env.ctrl)?;
-        let lines = entries
-            .iter()
-            .map(|(sub, row, kmer, count)| {
-                format!("{sub} {row} {} {} {count}", kmer.packed(), kmer.k())
-            })
-            .collect();
-        cp.lists.insert("hash".into(), lines);
-        let s = self.table.stats();
-        cp.fields.insert("hash.inserted_total".into(), s.inserted_total);
-        cp.fields.insert("hash.distinct".into(), s.distinct);
-        cp.fields.insert("hash.probes".into(), s.probes);
-        cp.fields.insert("hash.hits".into(), s.hits);
-        cp.fields.insert("hash.shadow_mismatches".into(), s.shadow_mismatches);
-        cp.fields.insert("kmer_count".into(), self.kmer_count);
-        Ok(())
-    }
-
-    fn into_artifact(self, _env: &mut crate::stages::StageEnv<'_>) -> Result<PimHashTable> {
-        Ok(self.table)
-    }
+/// The configuration's hash partition.
+fn hash_mapper(config: &PimAssemblerConfig) -> KmerMapper {
+    KmerMapper::new(&config.geometry, config.hash_subarrays, config.bucket_rows)
 }
 
 #[cfg(test)]

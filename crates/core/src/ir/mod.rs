@@ -24,8 +24,8 @@
 //!
 //! [`crate::template::CompiledTemplate`] wraps a [`CompiledKernel`] for
 //! the built-in kernels (adding the memoizing cache and the historical
-//! key/arity API), and [`crate::programs`] materializes the same lowered
-//! ops as instruction streams — there is exactly one source of truth per
+//! key/arity API), and its `to_stream` materializes the same lowered ops
+//! as instruction streams — there is exactly one source of truth per
 //! kernel command sequence. [`crate::budget::pipeline_budget`] and the
 //! `pim-verify` invariant checker derive their expected command counts
 //! from the [`CompileReport`] pass statistics.

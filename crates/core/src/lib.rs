@@ -21,8 +21,8 @@
 //! * [`ir`] — the typed PIM-IR over virtual rows and its lowering
 //!   pipeline (legalize → virtual-row allocation → peephole), the single
 //!   source of truth for every kernel command sequence,
-//! * [`template`] — compiled, reusable AAP kernel templates (the cached
-//!   lowering backend behind the [`programs`] constructors),
+//! * [`template`] — compiled, reusable AAP kernel templates, executable
+//!   directly or materialized as instruction streams,
 //! * [`pim_xnor`] — the parallel in-memory comparator (Fig. 7),
 //! * [`pim_add`] — carry-save + bit-serial in-memory addition (Fig. 8),
 //! * [`mapping`] — correlated data partitioning and mapping (Fig. 6),
@@ -30,8 +30,10 @@
 //! * [`hashmap_stage`] — the `Hashmap(S, k)` procedure in PIM,
 //! * [`graph_stage`] — the `DeBruijn(Hashmap, k)` procedure in PIM,
 //! * [`traverse_stage`] — the `Traverse(G)` procedure in PIM,
-//! * [`stages`] — the typed [`stages::Stage`] trait behind the staged
-//!   execution engine (chunked advance, progress cursors, checkpoints),
+//! * [`scaffold_stage`] — PIM-accounted scaffolding over read pairs
+//!   (extension),
+//! * [`mapping_stage`] — PIM read mapping with bit-serial DP alignment
+//!   (the second workload),
 //! * [`checkpoint`] — serializable stage checkpoints (atomic on-disk
 //!   format, schema/fingerprint validation, directory guard),
 //! * [`pipeline`] — the full assembler: the resumable [`pipeline::Session`]
@@ -78,9 +80,7 @@ pub mod perf;
 pub mod pim_add;
 pub mod pim_xnor;
 pub mod pipeline;
-pub mod programs;
 pub mod scaffold_stage;
-pub mod stages;
 pub mod template;
 pub mod traverse_stage;
 

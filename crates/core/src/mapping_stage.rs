@@ -256,13 +256,6 @@ impl PimReadMapper {
         &self.stats
     }
 
-    /// Overwrites the statistics accumulator — checkpoint resume support:
-    /// after a charged index rebuild the session wipes the accounting and
-    /// reinstates the checkpointed counters through this.
-    pub fn restore_stats(&mut self, stats: MapStats) {
-        self.stats = stats;
-    }
-
     /// The mapper (layout + sub-array partition) in use.
     pub fn mapper(&self) -> &KmerMapper {
         &self.mapper
@@ -746,7 +739,7 @@ impl PimReadMapper {
     }
 }
 
-/// The mapping executor of the staged engine: chunked read mapping over a
+/// The mapping executor: chunked read mapping over a
 /// built [`PimReadMapper`]. [`MappingHit::read_id`] is batch-relative, so
 /// each chunk's hits are rebased by the stream offset before
 /// accumulation; mapping is per-read independent and [`MapStats::merge`]
@@ -757,14 +750,12 @@ impl PimReadMapper {
 pub struct MappingExec {
     mapper: PimReadMapper,
     hits: Vec<Option<MappingHit>>,
-    reads_consumed: u64,
-    sealed: bool,
 }
 
 impl MappingExec {
     /// An executor over a built seed index.
     pub fn new(mapper: PimReadMapper) -> Self {
-        MappingExec { mapper, hits: Vec::new(), reads_consumed: 0, sealed: false }
+        MappingExec { mapper, hits: Vec::new() }
     }
 
     /// Maps one chunk of reads, rebasing hit ids to the stream offset.
@@ -784,110 +775,19 @@ impl MappingExec {
             hit.read_id += base;
         }
         self.hits.extend(chunk_hits);
-        self.reads_consumed += reads.len() as u64;
         Ok(())
     }
 
-    /// Marks the read stream as exhausted.
-    pub fn seal(&mut self) {
-        self.sealed = true;
-    }
+    /// Marks the read stream as exhausted. Mapping keeps no end-of-stream
+    /// state, so this does nothing; it is kept for callers that drive the
+    /// executor as `new → feed → seal → finish`.
+    pub fn seal(&mut self) {}
 
     /// Consumes the executor, yielding the per-read hits (stream order)
     /// and the accumulated statistics.
     pub fn finish(self) -> (Vec<Option<MappingHit>>, MapStats) {
         let stats = *self.mapper.stats();
         (self.hits, stats)
-    }
-
-    /// Restores the resume state (accumulated hits + statistics + cursor)
-    /// from a checkpoint written by [`crate::stages::Stage::save`] into an
-    /// executor over a freshly rebuilt index. The index rebuild itself is
-    /// charged — the caller wipes and restores accounting around it.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::error::PimError::Checkpoint`] on a malformed payload.
-    pub fn restore(
-        mut mapper: PimReadMapper,
-        cp: &crate::checkpoint::StageCheckpoint,
-    ) -> Result<Self> {
-        let malformed =
-            |line: &str| PimError::Checkpoint { reason: format!("bad mapping hit entry `{line}`") };
-        let mut hits = vec![None; cp.cursor as usize];
-        for line in cp.lists.get("hits").map_or(&[][..], Vec::as_slice) {
-            let mut p = line.split_whitespace();
-            let mut next = || p.next().ok_or_else(|| malformed(line));
-            let read_id: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let position: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let score: i32 = next()?.parse().map_err(|_| malformed(line))?;
-            let slot = hits.get_mut(read_id).ok_or_else(|| malformed(line))?;
-            *slot = Some(MappingHit { read_id, position, score });
-        }
-        mapper.restore_stats(MapStats {
-            reads: cp.field("map.reads"),
-            seeded: cp.field("map.seeded"),
-            candidates: cp.field("map.candidates"),
-            survivors: cp.field("map.survivors"),
-            dp_cells: cp.field("map.dp_cells"),
-            mapped: cp.field("map.mapped"),
-            shadow_mismatches: cp.field("map.shadow_mismatches"),
-        });
-        Ok(MappingExec { mapper, hits, reads_consumed: cp.cursor, sealed: false })
-    }
-}
-
-impl crate::stages::Stage for MappingExec {
-    type Chunk = Vec<Read>;
-    type Artifact = (Vec<Option<MappingHit>>, MapStats);
-
-    fn name(&self) -> &'static str {
-        "mapping"
-    }
-
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor {
-            done: self.reads_consumed,
-            total: self.sealed.then_some(self.reads_consumed),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.sealed
-    }
-
-    fn advance(&mut self, env: &mut crate::stages::StageEnv<'_>, chunk: Vec<Read>) -> Result<()> {
-        self.feed(env.ctrl, env.dispatcher, &chunk)
-    }
-
-    fn save(
-        &self,
-        _env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
-        let lines = self
-            .hits
-            .iter()
-            .flatten()
-            .map(|hit| format!("{} {} {}", hit.read_id, hit.position, hit.score))
-            .collect();
-        cp.lists.insert("hits".into(), lines);
-        let s = self.mapper.stats();
-        cp.fields.insert("map.reads".into(), s.reads);
-        cp.fields.insert("map.seeded".into(), s.seeded);
-        cp.fields.insert("map.candidates".into(), s.candidates);
-        cp.fields.insert("map.survivors".into(), s.survivors);
-        cp.fields.insert("map.dp_cells".into(), s.dp_cells);
-        cp.fields.insert("map.mapped".into(), s.mapped);
-        cp.fields.insert("map.shadow_mismatches".into(), s.shadow_mismatches);
-        Ok(())
-    }
-
-    fn into_artifact(
-        self,
-        _env: &mut crate::stages::StageEnv<'_>,
-    ) -> Result<(Vec<Option<MappingHit>>, MapStats)> {
-        Ok(self.finish())
     }
 }
 
@@ -1079,7 +979,6 @@ pub fn run_mapping(
             }
         }
     }
-    exec.seal();
     let (hits, stats) = exec.finish();
     let software = software_map(genome, reads, config.read_len, &config.mapping);
     let agreement = hits == software;
@@ -1155,70 +1054,6 @@ mod tests {
             let (a, b) = (chunked.metrics.unwrap(), reference.metrics.clone().unwrap());
             assert_eq!(a.counters, b.counters, "chunk_reads={n}");
         }
-    }
-
-    #[test]
-    fn mapping_exec_restore_resumes_identically() {
-        use crate::stages::Stage as _;
-        let config = MappingRunConfig { error_rate: 0.03, ..small_config() };
-        let (genome, reads) = simulate(&config);
-        let g = DramGeometry::paper_assembly();
-        let dispatcher = ParallelDispatcher::serial();
-        let build = |ctrl: &mut Controller| {
-            PimReadMapper::build(
-                ctrl,
-                KmerMapper::new(&g, config.subarrays, config.bucket_rows),
-                &genome,
-                config.read_len,
-                config.mapping,
-                config.backend,
-                config.opt,
-            )
-            .unwrap()
-        };
-
-        // Uninterrupted reference.
-        let mut ctrl_ref = Controller::with_profile(g, &config.backend.profile());
-        ctrl_ref.set_stage(Stage::Mapping);
-        let mut pim_ref = build(&mut ctrl_ref);
-        let hits_ref = pim_ref.map_batch(&mut ctrl_ref, &dispatcher, &reads).unwrap();
-
-        // First half, then checkpoint.
-        let mut ctrl = Controller::with_profile(g, &config.backend.profile());
-        ctrl.set_stage(Stage::Mapping);
-        let mut exec = MappingExec::new(build(&mut ctrl));
-        let mid = reads.len() / 2;
-        exec.feed(&mut ctrl, &dispatcher, &reads[..mid]).unwrap();
-        let core_config = crate::config::PimAssemblerConfig::small_test(13);
-        let mut cp = crate::checkpoint::StageCheckpoint::new("fp", "mapping", mid as u64);
-        {
-            let mut env = crate::stages::StageEnv {
-                ctrl: &mut ctrl,
-                dispatcher: &dispatcher,
-                config: &core_config,
-            };
-            exec.save(&mut env, &mut cp).unwrap();
-        }
-        let saved_global = *ctrl.global_ledger();
-        let saved_subs: Vec<_> =
-            ctrl.touched_subarrays().map(|id| (id, *ctrl.subarray_ledger(id).unwrap())).collect();
-        drop(ctrl);
-
-        // Resume on a fresh controller: the charged index rebuild restores
-        // the DRAM content, then the wipe + accounting restore reinstates
-        // the checkpointed ledgers exactly.
-        let mut ctrl2 = Controller::with_profile(g, &config.backend.profile());
-        let pim2 = build(&mut ctrl2);
-        ctrl2.take_stats();
-        ctrl2.set_stage(Stage::Mapping);
-        ctrl2.restore_accounting(saved_global, &saved_subs).unwrap();
-        let mut exec2 = MappingExec::restore(pim2, &cp).unwrap();
-        exec2.feed(&mut ctrl2, &dispatcher, &reads[mid..]).unwrap();
-        exec2.seal();
-        let (hits, stats) = exec2.finish();
-        assert_eq!(hits, hits_ref);
-        assert_eq!(stats, *pim_ref.stats());
-        assert_eq!(*ctrl2.stats(), *ctrl_ref.stats());
     }
 
     #[test]

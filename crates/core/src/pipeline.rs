@@ -7,9 +7,10 @@
 //! the PIM pipeline executes the *same algorithm* through in-memory
 //! primitives.
 //!
-//! Since the staged-engine refactor, `assemble` is a thin driver over a
-//! [`Session`]: a resumable run that advances the typed
-//! [`crate::stages::Stage`] executors chunk by chunk, optionally persists
+//! `assemble` is a thin driver over a [`Session`]: a resumable run that
+//! streams reads chunk by chunk through [`HashmapExec`], then runs
+//! [`GraphStage::build_retaining`] and
+//! [`TraverseStage::run_with_dispatcher`] once each, optionally persists
 //! a [`StageCheckpoint`] after every chunk and stage boundary, and can be
 //! reconstructed from disk with [`Session::resume`]. The load-bearing
 //! contract — pinned by `pim-verify` and `tests/resume_suite.rs` — is
@@ -27,7 +28,11 @@ use pim_dram::controller::Controller;
 use pim_dram::ledger::EnergyLedger;
 use pim_genome::assemble::Assembly;
 use pim_genome::contig::Contig;
+use pim_genome::debruijn::DeBruijnGraph;
+use pim_genome::euler::EulerAlgorithm;
+use pim_genome::kmer::Kmer;
 use pim_genome::reads::Read;
+use pim_genome::simplify::Simplifier;
 use pim_genome::stats::AssemblyStats;
 use pim_obsv::{MetricsSnapshot, SpanRecorder, Stage};
 use pim_platforms::workload::AssemblyWorkload;
@@ -37,12 +42,11 @@ use crate::checkpoint::{prepare_dir, StageCheckpoint};
 use crate::config::PimAssemblerConfig;
 use crate::dispatch::ParallelDispatcher;
 use crate::error::{PimError, Result};
-use crate::graph_stage::{GraphArtifact, GraphExec, GraphStage, GraphStats};
+use crate::graph_stage::{GraphStage, GraphStats};
 use crate::hashmap_stage::{HashStats, HashmapExec, PimHashTable};
-use crate::partition::Partitioning;
+use crate::partition::{IntervalBlockPartitioner, Partitioning};
 use crate::perf::PerfReport;
-use crate::stages::{Stage as ExecStage, StageEnv};
-use crate::traverse_stage::{TraverseArtifact, TraverseExec, TraverseStats};
+use crate::traverse_stage::{TraverseStage, TraverseStats};
 
 /// Everything one assembly run produces.
 #[derive(Debug, Clone)]
@@ -210,6 +214,28 @@ fn partition_intervals(geometry: &pim_dram::geometry::DramGeometry) -> usize {
     geometry.active_mats_per_bank.max(2)
 }
 
+/// Interval width for the graph partitioning: one sub-array row or column.
+fn partition_width(geometry: &pim_dram::geometry::DramGeometry) -> usize {
+    geometry.cols.min(geometry.rows)
+}
+
+/// Applies the configured tip simplification to `graph` and re-partitions
+/// the result. Returns the number of dropped edges, or `None` when
+/// simplification is off (and nothing changed).
+fn simplify_graph(
+    config: &PimAssemblerConfig,
+    graph: &mut DeBruijnGraph,
+    partitioning: &mut Partitioning,
+) -> Option<u64> {
+    let max_tip = config.simplify_tips?;
+    let before_edges = graph.edge_count();
+    let (simplified, _) = Simplifier::new(max_tip).simplify(graph);
+    *graph = simplified;
+    let (intervals, f) = (partition_intervals(&config.geometry), partition_width(&config.geometry));
+    *partitioning = IntervalBlockPartitioner::new(intervals, f).partition(graph);
+    Some((before_edges - graph.edge_count()) as u64)
+}
+
 /// The session's metrics snapshot: the controller's, plus the dispatcher
 /// and span host counters, with the checkpointed metrics of earlier
 /// session segments folded in. `None` when observability is off.
@@ -251,6 +277,18 @@ fn session_snapshot(
     Some(snap)
 }
 
+/// The graph stage's output, held until the traverse stage runs.
+struct BuiltGraph {
+    /// The graph the traverse stage walks (simplified when configured).
+    graph: DeBruijnGraph,
+    partitioning: Partitioning,
+    stats: GraphStats,
+    /// Pre-simplification survivors in scan order: the `stage = traverse`
+    /// checkpoint payload [`GraphStage::rebuild`] replays on resume.
+    survivors: Vec<(Kmer, u64)>,
+    hash_stats: HashStats,
+}
+
 /// Where a session currently stands.
 enum Phase {
     /// Streaming reads into the hashmap stage.
@@ -258,7 +296,7 @@ enum Phase {
     /// Hashmap sealed; the graph stage runs next.
     GraphPending(PimHashTable),
     /// Graph built (and simplified); the traverse stage runs next.
-    TraversePending(Box<TraverseExec>),
+    TraversePending(Box<BuiltGraph>),
     /// The run completed (or the session was consumed).
     Finished,
 }
@@ -266,7 +304,7 @@ enum Phase {
 /// A resumable, streaming, checkpointable assembly run.
 ///
 /// A session borrows a [`PimAssembler`] for its lifetime and advances the
-/// pipeline's typed stage executors chunk by chunk:
+/// pipeline's three stages, the hashmap stage chunk by chunk:
 ///
 /// 1. [`Session::start`] (or [`Session::resume`] from disk),
 /// 2. [`Session::feed`] for each chunk of reads,
@@ -291,7 +329,6 @@ pub struct Session<'a> {
     total_reads: u64,
     read_len: Option<usize>,
     kmer_count: u64,
-    hash_stats: Option<HashStats>,
     /// Cumulative ledger at the hashmap/graph boundary.
     s1: Option<EnergyLedger>,
     /// Cumulative ledger at the graph/traverse boundary.
@@ -335,7 +372,6 @@ impl<'a> Session<'a> {
             total_reads: 0,
             read_len: None,
             kmer_count: 0,
-            hash_stats: None,
             s1: None,
             s2: None,
             bound,
@@ -376,79 +412,46 @@ impl<'a> Session<'a> {
         asm.ctrl.take_stats();
         asm.dispatcher.metrics().reset();
         let geometry = asm.config.geometry;
-        let (phase, skip_reads, total_reads, s1, s2, hash_stats, kmer_count) = {
-            let PimAssembler { config, ctrl, dispatcher, .. } = &mut *asm;
-            let mut env = StageEnv { ctrl, dispatcher, config };
+        let (phase, skip_reads, total_reads, s1, s2) = {
+            let PimAssembler { config, ctrl, .. } = &mut *asm;
+            let hash_stats = HashStats::from_checkpoint(&cp);
             match cp.stage.as_str() {
                 "hashmap" => {
-                    let exec = HashmapExec::restore(&mut env, &cp, false)?;
-                    let kmer_count = exec.kmer_count();
-                    (Phase::Ingest(exec), cp.cursor, cp.cursor, None, None, None, kmer_count)
+                    let exec = HashmapExec::restore(config, ctrl, &cp, hash_stats)?;
+                    (Phase::Ingest(exec), cp.cursor, cp.cursor, None, None)
                 }
                 "graph" => {
-                    let exec = HashmapExec::restore(&mut env, &cp, true)?;
-                    let hash_stats = Some(*exec.table().stats());
-                    let kmer_count = exec.kmer_count();
-                    let table = ExecStage::into_artifact(exec, &mut env)?;
+                    let exec = HashmapExec::restore(config, ctrl, &cp, hash_stats)?;
                     let s1 = cp.ledger("s1")?;
-                    (
-                        Phase::GraphPending(table),
-                        0,
-                        cp.cursor,
-                        Some(s1),
-                        None,
-                        hash_stats,
-                        kmer_count,
-                    )
+                    (Phase::GraphPending(exec.into_table()), 0, cp.cursor, Some(s1), None)
                 }
                 "traverse" => {
                     let lines = cp.lists.get("graph").ok_or_else(|| PimError::Checkpoint {
                         reason: "traverse checkpoint is missing the graph survivor list".into(),
                     })?;
                     let survivors = GraphStage::parse_survivors(lines)?;
-                    let intervals = partition_intervals(&config.geometry);
-                    let f = config.geometry.cols.min(config.geometry.rows);
-                    let (mut graph, mut partitioning) =
-                        GraphStage::rebuild(&survivors, intervals, f);
-                    if let Some(max_tip) = config.simplify_tips {
-                        // Pure host-side re-simplification: the DPU/AAP
-                        // charges the live run made here already sit in
-                        // the restored ledgers.
-                        let (simplified, _) =
-                            pim_genome::simplify::Simplifier::new(max_tip).simplify(&graph);
-                        graph = simplified;
-                        partitioning =
-                            crate::partition::IntervalBlockPartitioner::new(intervals, f)
-                                .partition(&graph);
-                    }
-                    let graph_stats = GraphStats {
-                        scanned: cp.field("graph.scanned"),
-                        edges_inserted: cp.field("graph.edges_inserted"),
-                        mem_inserts: cp.field("graph.mem_inserts"),
-                    };
-                    let hash_stats = Some(HashStats {
-                        inserted_total: cp.field("hash.inserted_total"),
-                        distinct: cp.field("hash.distinct"),
-                        probes: cp.field("hash.probes"),
-                        hits: cp.field("hash.hits"),
-                        shadow_mismatches: cp.field("hash.shadow_mismatches"),
-                    });
-                    let exec = TraverseExec::new(
+                    let (mut graph, mut partitioning) = GraphStage::rebuild(
+                        &survivors,
+                        partition_intervals(&geometry),
+                        partition_width(&geometry),
+                    );
+                    // Pure host-side re-simplification: the DPU/AAP charges
+                    // the live run made here already sit in the restored
+                    // ledgers.
+                    simplify_graph(config, &mut graph, &mut partitioning);
+                    let built = BuiltGraph {
                         graph,
                         partitioning,
-                        graph_stats,
+                        stats: GraphStats::from_checkpoint(&cp),
                         survivors,
-                        aux_subarray(config, 1),
-                        aux_subarray(config, 2),
-                    );
+                        hash_stats,
+                    };
                     (
-                        Phase::TraversePending(Box::new(exec)),
+                        Phase::TraversePending(Box::new(built)),
                         0,
                         cp.field("total_reads"),
                         Some(cp.ledger("s1")?),
                         Some(cp.ledger("s2")?),
-                        hash_stats,
-                        cp.field("kmer_count"),
                     )
                 }
                 "done" => {
@@ -489,8 +492,7 @@ impl<'a> Session<'a> {
             skip_reads,
             total_reads,
             read_len: (read_len > 0).then_some(read_len as usize),
-            kmer_count,
-            hash_stats,
+            kmer_count: cp.field("kmer_count"),
             s1,
             s2,
             bound,
@@ -527,25 +529,21 @@ impl<'a> Session<'a> {
             return Ok(());
         }
         let chunked = self.asm.config.chunk_reads.is_some();
-        let cursor;
-        {
-            let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
-            let Phase::Ingest(exec) = &mut self.phase else { unreachable!() };
-            let mut env = StageEnv { ctrl, dispatcher, config };
-            let t0 = chunked.then(|| spans.as_deref().map(SpanRecorder::now_ns)).flatten();
-            let before = *env.ctrl.stats();
-            let offered = exec.feed(&mut env, reads)?;
-            let delta = env.ctrl.stats().since(&before);
-            if let Some(violation) = self.bound.check(&delta, offered) {
-                self.violations.push(violation);
-            }
-            if let (Some(spans), Some(t0)) = (spans.as_deref(), t0) {
-                spans.record("stage.hashmap.chunk", "stage", 0, t0, offered);
-            }
-            cursor = ExecStage::cursor(exec).done;
+        let PimAssembler { ctrl, dispatcher, spans, .. } = &mut *self.asm;
+        let Phase::Ingest(exec) = &mut self.phase else { unreachable!() };
+        let t0 = chunked.then(|| spans.as_deref().map(SpanRecorder::now_ns)).flatten();
+        let before = *ctrl.stats();
+        let offered = exec.feed(ctrl, dispatcher, reads)?;
+        let delta = ctrl.stats().since(&before);
+        if let Some(violation) = self.bound.check(&delta, offered) {
+            self.violations.push(violation);
         }
-        self.total_reads = cursor;
-        self.write_checkpoint("hashmap", cursor)
+        if let (Some(spans), Some(t0)) = (spans.as_deref(), t0) {
+            spans.record("stage.hashmap.chunk", "stage", 0, t0, offered);
+        }
+        self.total_reads += reads.len() as u64;
+        self.kmer_count += offered;
+        self.write_checkpoint("hashmap", self.total_reads)
     }
 
     /// [`Session::feed`] over the whole stream, split into chunks of
@@ -578,24 +576,15 @@ impl<'a> Session<'a> {
         if !matches!(self.phase, Phase::Ingest(_)) {
             return Ok(());
         }
-        {
-            let Phase::Ingest(exec) = &mut self.phase else { unreachable!() };
-            exec.seal();
-            self.total_reads = ExecStage::cursor(exec).done;
-            self.kmer_count = exec.kmer_count();
-            self.hash_stats = Some(*exec.table().stats());
-        }
         self.s1 = Some(*self.asm.ctrl.ledger());
         if let (Some(spans), Some(t0)) = (self.asm.spans.as_deref(), self.span_t0) {
             spans.record("stage.hashmap", "stage", 0, t0, self.kmer_count);
         }
         self.write_checkpoint("graph", self.total_reads)?;
-        let phase = std::mem::replace(&mut self.phase, Phase::Finished);
-        let Phase::Ingest(exec) = phase else { unreachable!() };
-        let PimAssembler { config, ctrl, dispatcher, .. } = &mut *self.asm;
-        let mut env = StageEnv { ctrl, dispatcher, config };
-        let table = ExecStage::into_artifact(exec, &mut env)?;
-        self.phase = Phase::GraphPending(table);
+        let Phase::Ingest(exec) = std::mem::replace(&mut self.phase, Phase::Finished) else {
+            unreachable!()
+        };
+        self.phase = Phase::GraphPending(exec.into_table());
         Ok(())
     }
 
@@ -616,54 +605,40 @@ impl<'a> Session<'a> {
     /// Graph-stage execution errors and checkpoint I/O failures.
     pub fn advance_graph(&mut self) -> Result<()> {
         // ── Stage 2: graph construction (DeBruijn) ─────────────────────
-        if matches!(self.phase, Phase::GraphPending(_)) {
-            let phase = std::mem::replace(&mut self.phase, Phase::Finished);
-            let Phase::GraphPending(table) = phase else { unreachable!() };
-            let next = {
-                let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
-                ctrl.set_stage(Stage::Graph);
-                let stage_start = spans.as_deref().map(SpanRecorder::now_ns);
-                let mut env = StageEnv { ctrl, dispatcher, config };
-                let graph_region = aux_subarray(config, 0);
-                let mut gexec =
-                    GraphExec::new(table, graph_region, partition_intervals(&config.geometry));
-                ExecStage::advance(&mut gexec, &mut env, ())?;
-                let GraphArtifact { mut graph, mut partitioning, stats: graph_stats, survivors } =
-                    ExecStage::into_artifact(gexec, &mut env)?;
-                if let Some(max_tip) = config.simplify_tips {
-                    let before_edges = graph.edge_count();
-                    let (simplified, _) =
-                        pim_genome::simplify::Simplifier::new(max_tip).simplify(&graph);
-                    // Each dropped edge is a DPU decision plus an
-                    // invalidating row touch in the graph region.
-                    let dropped = (before_edges - simplified.edge_count()) as u64;
-                    env.ctrl.dpu_ops(dropped);
-                    env.ctrl.record_synthetic("AAP", dropped);
-                    graph = simplified;
-                    let f = config.geometry.cols.min(config.geometry.rows);
-                    partitioning = crate::partition::IntervalBlockPartitioner::new(
-                        partition_intervals(&config.geometry),
-                        f,
-                    )
-                    .partition(&graph);
-                }
-                self.s2 = Some(*env.ctrl.ledger());
-                if let (Some(spans), Some(t0)) = (spans.as_deref(), stage_start) {
-                    spans.record("stage.debruijn", "stage", 0, t0, graph.edge_count() as u64);
-                }
-                TraverseExec::new(
-                    graph,
-                    partitioning,
-                    graph_stats,
-                    survivors,
-                    aux_subarray(config, 1),
-                    aux_subarray(config, 2),
-                )
-            };
-            self.phase = Phase::TraversePending(Box::new(next));
-            self.write_checkpoint("traverse", 0)?;
+        if !matches!(self.phase, Phase::GraphPending(_)) {
+            return Ok(());
         }
-        Ok(())
+        let Phase::GraphPending(table) = std::mem::replace(&mut self.phase, Phase::Finished) else {
+            unreachable!()
+        };
+        let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
+        ctrl.set_stage(Stage::Graph);
+        let stage_start = spans.as_deref().map(SpanRecorder::now_ns);
+        let hash_stats = *table.stats();
+        let (mut graph, mut partitioning, stats, survivors) = GraphStage::build_retaining(
+            ctrl,
+            dispatcher,
+            &table,
+            config.min_count,
+            aux_subarray(config, 0),
+            partition_intervals(&config.geometry),
+        )?;
+        // Free the table before the graph is simplified and checkpointed,
+        // so the two never peak together.
+        drop(table);
+        if let Some(dropped) = simplify_graph(config, &mut graph, &mut partitioning) {
+            // Each dropped edge is a DPU decision plus an invalidating row
+            // touch in the graph region.
+            ctrl.dpu_ops(dropped);
+            ctrl.record_synthetic("AAP", dropped);
+        }
+        self.s2 = Some(*ctrl.ledger());
+        if let (Some(spans), Some(t0)) = (spans.as_deref(), stage_start) {
+            spans.record("stage.debruijn", "stage", 0, t0, graph.edge_count() as u64);
+        }
+        let built = BuiltGraph { graph, partitioning, stats, survivors, hash_stats };
+        self.phase = Phase::TraversePending(Box::new(built));
+        self.write_checkpoint("traverse", 0)
     }
 
     /// Runs the remaining stages and builds the [`PimRun`]. Seals the
@@ -679,33 +654,36 @@ impl<'a> Session<'a> {
 
         // ── Stage 3: traversal (Traverse) ──────────────────────────────
         let phase = std::mem::replace(&mut self.phase, Phase::Finished);
-        let Phase::TraversePending(mut texec) = phase else {
+        let Phase::TraversePending(built) = phase else {
             return Err(PimError::Checkpoint { reason: "session already finished".into() });
         };
+        let BuiltGraph { graph, partitioning, stats: graph_stats, hash_stats, survivors } = *built;
+        // The survivors only feed the `traverse` checkpoint, already
+        // written; free them before the traverse stage allocates.
+        drop(survivors);
         let missing = |what: &str| PimError::Checkpoint {
             reason: format!("session is missing the {what} boundary"),
         };
         let s1_ledger = self.s1.ok_or_else(|| missing("stage-1"))?;
         let s2_ledger = self.s2.ok_or_else(|| missing("stage-2"))?;
-        let hash_stats = self.hash_stats.ok_or_else(|| missing("hashmap statistics"))?;
         let run = {
             let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
             ctrl.set_stage(Stage::Traverse);
             let stage_start = spans.as_deref().map(SpanRecorder::now_ns);
-            let mut env = StageEnv { ctrl, dispatcher, config };
-            ExecStage::advance(&mut *texec, &mut env, ())?;
-            let TraverseArtifact {
-                trails,
-                stats: traverse_stats,
-                graph,
-                partitioning,
-                graph_stats,
-            } = ExecStage::into_artifact(*texec, &mut env)?;
+            let (trails, traverse_stats) = TraverseStage::run_with_dispatcher(
+                ctrl,
+                dispatcher,
+                &graph,
+                aux_subarray(config, 1),
+                aux_subarray(config, 2),
+                EulerAlgorithm::Hierholzer,
+                config.opt_level,
+            )?;
             let s1 = s1_ledger.to_stats();
             let s2 = s2_ledger.to_stats().since(&s1);
             let mut s12 = s1;
             s12.merge(&s2);
-            let s3 = env.ctrl.stats().since(&s12);
+            let s3 = ctrl.stats().since(&s12);
             if let (Some(spans), Some(t0)) = (spans.as_deref(), stage_start) {
                 spans.record("stage.traverse", "stage", 0, t0, trails.len() as u64);
             }
@@ -746,14 +724,13 @@ impl<'a> Session<'a> {
             // Ground-truth parallelism: schedule the measured per-sub-array
             // traffic under the shared command bus (three DDR commands per
             // issue) and attach the effective parallelism it achieves.
-            let queues =
-                pim_dram::schedule::queues_from_totals(&env.ctrl.subarray_command_totals());
+            let queues = pim_dram::schedule::queues_from_totals(&ctrl.subarray_command_totals());
             let sched = pim_dram::schedule::schedule(&queues, 3.0 * config.timing.t_ck_ns);
             let mut report = PerfReport::new(config, [s1, s2, s3], workload)
                 .with_measured_parallelism(sched.effective_parallelism);
             if let Some(mut snap) = session_snapshot(
-                env.ctrl,
-                env.dispatcher,
+                ctrl,
+                dispatcher,
                 spans.as_deref(),
                 &self.base_counters,
                 &self.base_host,
@@ -780,56 +757,53 @@ impl<'a> Session<'a> {
     /// checkpoint directory is configured.
     fn write_checkpoint(&mut self, stage: &str, cursor: u64) -> Result<()> {
         let Some(dir) = self.dir.clone() else { return Ok(()) };
-        let fingerprint = self.asm.config.fingerprint();
-        let mut cp = StageCheckpoint::new(&fingerprint, stage, cursor);
-        {
-            let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
-            let mut env = StageEnv { ctrl, dispatcher, config };
-            match &self.phase {
-                Phase::Ingest(exec) => ExecStage::save(exec, &mut env, &mut cp)?,
-                Phase::TraversePending(exec) => {
-                    ExecStage::save(&**exec, &mut env, &mut cp)?;
-                    if let Some(hs) = &self.hash_stats {
-                        cp.fields.insert("hash.inserted_total".into(), hs.inserted_total);
-                        cp.fields.insert("hash.distinct".into(), hs.distinct);
-                        cp.fields.insert("hash.probes".into(), hs.probes);
-                        cp.fields.insert("hash.hits".into(), hs.hits);
-                        cp.fields.insert("hash.shadow_mismatches".into(), hs.shadow_mismatches);
-                    }
-                    cp.fields.insert("kmer_count".into(), self.kmer_count);
-                }
-                Phase::GraphPending(_) | Phase::Finished => {}
+        let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
+        let mut cp = StageCheckpoint::new(&config.fingerprint(), stage, cursor);
+        let hash_stats = match &self.phase {
+            Phase::Ingest(exec) => {
+                exec.save(ctrl, &mut cp)?;
+                Some(*exec.table().stats())
             }
-            if let Some(read_len) = self.read_len {
-                cp.fields.insert("read_len".into(), read_len as u64);
+            Phase::TraversePending(built) => {
+                cp.lists.insert("graph".into(), GraphStage::format_survivors(&built.survivors));
+                built.stats.to_checkpoint(&mut cp);
+                Some(built.hash_stats)
             }
-            cp.fields.insert("total_reads".into(), self.total_reads);
-            cp.ledgers.insert("global".into(), *env.ctrl.global_ledger());
-            let touched: Vec<SubarrayId> = env.ctrl.touched_subarrays().collect();
-            for id in touched {
-                let linear = id.linear_index(&config.geometry);
-                let ledger = *env.ctrl.subarray_ledger(id).expect("touched implies attached");
-                cp.ledgers.insert(format!("sub.{linear}"), ledger);
-            }
-            if let Some(s1) = self.s1 {
-                cp.ledgers.insert("s1".into(), s1);
-            }
-            if let Some(s2) = self.s2 {
-                cp.ledgers.insert("s2".into(), s2);
-            }
-            if let Some(mut snap) = session_snapshot(
-                env.ctrl,
-                env.dispatcher,
-                spans.as_deref(),
-                &self.base_counters,
-                &self.base_host,
-            ) {
-                // `total.*` counters are ledger-derived at render time;
-                // the checkpoint stores only additive segment data.
-                snap.counters.retain(|key, _| !key.starts_with("total."));
-                cp.counters = snap.counters;
-                cp.host = snap.host;
-            }
+            Phase::GraphPending(_) | Phase::Finished => None,
+        };
+        if let Some(hash_stats) = hash_stats {
+            hash_stats.to_checkpoint(&mut cp);
+            cp.fields.insert("kmer_count".into(), self.kmer_count);
+        }
+        if let Some(read_len) = self.read_len {
+            cp.fields.insert("read_len".into(), read_len as u64);
+        }
+        cp.fields.insert("total_reads".into(), self.total_reads);
+        cp.ledgers.insert("global".into(), *ctrl.global_ledger());
+        let touched: Vec<SubarrayId> = ctrl.touched_subarrays().collect();
+        for id in touched {
+            let linear = id.linear_index(&config.geometry);
+            let ledger = *ctrl.subarray_ledger(id).expect("touched implies attached");
+            cp.ledgers.insert(format!("sub.{linear}"), ledger);
+        }
+        if let Some(s1) = self.s1 {
+            cp.ledgers.insert("s1".into(), s1);
+        }
+        if let Some(s2) = self.s2 {
+            cp.ledgers.insert("s2".into(), s2);
+        }
+        if let Some(mut snap) = session_snapshot(
+            ctrl,
+            dispatcher,
+            spans.as_deref(),
+            &self.base_counters,
+            &self.base_host,
+        ) {
+            // `total.*` counters are ledger-derived at render time; the
+            // checkpoint stores only additive segment data.
+            snap.counters.retain(|key, _| !key.starts_with("total."));
+            cp.counters = snap.counters;
+            cp.host = snap.host;
         }
         cp.save(&dir)
     }

@@ -57,7 +57,6 @@ impl ScaffoldStage {
     ) -> Result<(Vec<Scaffold>, ScaffoldStats)> {
         let mut exec = ScaffoldExec::new(ctrl, mapper, contigs.to_vec(), k, min_support)?;
         exec.feed(ctrl, pairs)?;
-        exec.seal();
         exec.finish(ctrl)
     }
 }
@@ -68,10 +67,6 @@ impl ScaffoldStage {
 /// charging is an order-independent integer sum, so any chunking of the
 /// same pair stream is byte-identical to the one-shot
 /// [`ScaffoldStage::run`] (asserted in tests).
-///
-/// On resume the caller re-feeds the *full* pair stream: the first
-/// `cursor` pairs are buffered for the final chaining pass (which needs
-/// every pair) but not re-anchored or re-charged.
 #[derive(Debug, Clone)]
 pub struct ScaffoldExec {
     table: PimHashTable,
@@ -81,8 +76,6 @@ pub struct ScaffoldExec {
     min_support: usize,
     stats: ScaffoldStats,
     pairs: Vec<ReadPair>,
-    anchored: u64,
-    sealed: bool,
 }
 
 /// The host-side sidecar of the anchor index: k-mer → first
@@ -101,8 +94,7 @@ fn sidecar(contigs: &[Contig], k: usize) -> Result<HashMap<u64, (usize, usize)>>
 
 impl ScaffoldExec {
     /// Loads every contig k-mer into the PIM anchor index (charged) and
-    /// returns an executor ready to consume pairs. The sidecar is rebuilt
-    /// rather than checkpointed.
+    /// returns an executor ready to consume pairs.
     ///
     /// # Errors
     ///
@@ -132,29 +124,22 @@ impl ScaffoldExec {
             min_support,
             stats,
             pairs: Vec::new(),
-            anchored: 0,
-            sealed: false,
         })
     }
 
-    /// Anchors (and buffers) one chunk of pairs. Pairs below the resume
-    /// cursor are buffered only — their anchor queries already ran and
-    /// were charged before the checkpoint.
+    /// Anchors one chunk of pairs and buffers them for the final chaining
+    /// pass, which needs every pair.
     ///
     /// # Errors
     ///
     /// DRAM addressing errors from the anchor probes.
     pub fn feed(&mut self, ctrl: &mut Controller, chunk: &[ReadPair]) -> Result<()> {
         for p in chunk {
-            let idx = self.pairs.len() as u64;
-            if idx >= self.anchored {
-                let a = self.anchor(ctrl, &p.r1.seq)?;
-                let b = self.anchor(ctrl, &p.r2.seq)?;
-                self.stats.anchor_queries += 2;
-                if a.is_some() && b.is_some() {
-                    self.stats.pairs_anchored += 1;
-                }
-                self.anchored = idx + 1;
+            let a = self.anchor(ctrl, &p.r1.seq)?;
+            let b = self.anchor(ctrl, &p.r2.seq)?;
+            self.stats.anchor_queries += 2;
+            if a.is_some() && b.is_some() {
+                self.stats.pairs_anchored += 1;
             }
             self.pairs.push(p.clone());
         }
@@ -179,11 +164,6 @@ impl ScaffoldExec {
         }
     }
 
-    /// Marks the pair stream as exhausted.
-    pub fn seal(&mut self) {
-        self.sealed = true;
-    }
-
     /// Link voting + chaining over every buffered pair (DPU scalar work,
     /// one op per anchored pair and per link decision).
     ///
@@ -197,133 +177,6 @@ impl ScaffoldExec {
             Scaffolder::new(self.k, self.min_support).scaffold(&self.contigs, &self.pairs)?;
         self.stats.scaffolds = scaffolds.len() as u64;
         Ok((scaffolds, self.stats))
-    }
-
-    /// Reconstructs an executor from a checkpoint written by
-    /// [`crate::stages::Stage::save`]: the anchor index is restored
-    /// through the uncharged debug port, the sidecar rebuilt purely from
-    /// `contigs`, and the anchor cursor picks up where it left off.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::error::PimError::Checkpoint`] on a malformed payload;
-    /// DRAM addressing errors while restoring rows.
-    pub fn restore(
-        ctrl: &mut Controller,
-        mapper: KmerMapper,
-        contigs: Vec<Contig>,
-        k: usize,
-        min_support: usize,
-        cp: &crate::checkpoint::StageCheckpoint,
-    ) -> Result<Self> {
-        ctrl.set_stage(Stage::Scaffold);
-        let malformed = |line: &str| crate::error::PimError::Checkpoint {
-            reason: format!("bad scaffold index entry `{line}`"),
-        };
-        let mut entries = Vec::new();
-        for line in cp.lists.get("scaffold_index").map_or(&[][..], Vec::as_slice) {
-            let mut p = line.split_whitespace();
-            let mut next = || p.next().ok_or_else(|| malformed(line));
-            let sub_idx: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let row: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let packed: u64 = next()?.parse().map_err(|_| malformed(line))?;
-            let kk: usize = next()?.parse().map_err(|_| malformed(line))?;
-            let count: u64 = next()?.parse().map_err(|_| malformed(line))?;
-            let kmer = Kmer::from_packed(packed, kk).map_err(|_| malformed(line))?;
-            entries.push((sub_idx, row, kmer, count));
-        }
-        let hash_stats = crate::hashmap_stage::HashStats {
-            inserted_total: cp.field("scaffold.index.inserted_total"),
-            distinct: cp.field("scaffold.index.distinct"),
-            probes: cp.field("scaffold.index.probes"),
-            hits: cp.field("scaffold.index.hits"),
-            shadow_mismatches: cp.field("scaffold.index.shadow_mismatches"),
-        };
-        let table = PimHashTable::restore_entries(
-            mapper,
-            crate::ir::BackendKind::PimAssembler,
-            crate::ir::OptLevel::O0,
-            ctrl,
-            &entries,
-            hash_stats,
-        )?;
-        let stats = ScaffoldStats {
-            index_kmers: cp.field("scaffold.index_kmers"),
-            anchor_queries: cp.field("scaffold.anchor_queries"),
-            pairs_anchored: cp.field("scaffold.pairs_anchored"),
-            scaffolds: 0,
-        };
-        Ok(ScaffoldExec {
-            table,
-            sidecar: sidecar(&contigs, k)?,
-            contigs,
-            k,
-            min_support,
-            stats,
-            pairs: Vec::new(),
-            anchored: cp.cursor,
-            sealed: false,
-        })
-    }
-}
-
-impl crate::stages::Stage for ScaffoldExec {
-    type Chunk = Vec<ReadPair>;
-    type Artifact = (Vec<Scaffold>, ScaffoldStats);
-
-    fn name(&self) -> &'static str {
-        "scaffold"
-    }
-
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor {
-            done: self.anchored,
-            total: self.sealed.then_some(self.pairs.len() as u64),
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.sealed
-    }
-
-    fn advance(
-        &mut self,
-        env: &mut crate::stages::StageEnv<'_>,
-        chunk: Vec<ReadPair>,
-    ) -> Result<()> {
-        self.feed(env.ctrl, &chunk)
-    }
-
-    fn save(
-        &self,
-        env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
-        let entries = self.table.export_entries(env.ctrl)?;
-        let lines = entries
-            .iter()
-            .map(|(sub, row, kmer, count)| {
-                format!("{sub} {row} {} {} {count}", kmer.packed(), kmer.k())
-            })
-            .collect();
-        cp.lists.insert("scaffold_index".into(), lines);
-        let hs = self.table.stats();
-        cp.fields.insert("scaffold.index.inserted_total".into(), hs.inserted_total);
-        cp.fields.insert("scaffold.index.distinct".into(), hs.distinct);
-        cp.fields.insert("scaffold.index.probes".into(), hs.probes);
-        cp.fields.insert("scaffold.index.hits".into(), hs.hits);
-        cp.fields.insert("scaffold.index.shadow_mismatches".into(), hs.shadow_mismatches);
-        cp.fields.insert("scaffold.index_kmers".into(), self.stats.index_kmers);
-        cp.fields.insert("scaffold.anchor_queries".into(), self.stats.anchor_queries);
-        cp.fields.insert("scaffold.pairs_anchored".into(), self.stats.pairs_anchored);
-        Ok(())
-    }
-
-    fn into_artifact(
-        self,
-        env: &mut crate::stages::StageEnv<'_>,
-    ) -> Result<(Vec<Scaffold>, ScaffoldStats)> {
-        self.finish(env.ctrl)
     }
 }
 
@@ -434,8 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn chunked_exec_with_mid_stream_restore_matches_one_shot() {
-        use crate::stages::Stage as _;
+    fn chunked_exec_matches_one_shot() {
         let (mut ctrl_a, genome, mut rng) = setup(3000, 50);
         let contigs = vec![
             Contig::new(genome.subsequence(0, 1400)),
@@ -446,51 +298,22 @@ mod tests {
         let (reference, stats_ref) =
             ScaffoldStage::run(&mut ctrl_a, mapper, &contigs, &pairs, 17, 3).unwrap();
 
-        // The same pair stream in chunks of 7, with a kill + restore onto
-        // a fresh controller mid-stream.
-        let g = DramGeometry::paper_assembly();
-        let mut ctrl_b = Controller::new(g);
-        let mut exec =
-            ScaffoldExec::new(&mut ctrl_b, KmerMapper::new(&g, 8, 8), contigs.clone(), 17, 3)
-                .unwrap();
-        let mid = pairs.len() / 2;
-        for chunk in pairs[..mid].chunks(7) {
-            exec.feed(&mut ctrl_b, chunk).unwrap();
+        // The same pair stream in chunks of 7 and of 11, each on a fresh
+        // controller.
+        for size in [7, 11] {
+            let g = DramGeometry::paper_assembly();
+            let mut ctrl = Controller::new(g);
+            let mut exec =
+                ScaffoldExec::new(&mut ctrl, KmerMapper::new(&g, 8, 8), contigs.clone(), 17, 3)
+                    .unwrap();
+            for chunk in pairs.chunks(size) {
+                exec.feed(&mut ctrl, chunk).unwrap();
+            }
+            let (scaffolds, stats) = exec.finish(&mut ctrl).unwrap();
+            assert_eq!(scaffolds, reference, "chunks of {size}");
+            assert_eq!(stats, stats_ref, "chunks of {size}");
+            assert_eq!(*ctrl.stats(), *ctrl_a.stats(), "chunks of {size}");
         }
-        let config = crate::config::PimAssemblerConfig::small_test(17);
-        let dispatcher = crate::dispatch::ParallelDispatcher::serial();
-        let mut cp = crate::checkpoint::StageCheckpoint::new("fp", "scaffold", exec.cursor().done);
-        {
-            let mut env = crate::stages::StageEnv {
-                ctrl: &mut ctrl_b,
-                dispatcher: &dispatcher,
-                config: &config,
-            };
-            exec.save(&mut env, &mut cp).unwrap();
-        }
-        assert_eq!(cp.cursor, mid as u64);
-        let saved_global = *ctrl_b.global_ledger();
-        let saved_subs: Vec<_> = ctrl_b
-            .touched_subarrays()
-            .map(|id| (id, *ctrl_b.subarray_ledger(id).unwrap()))
-            .collect();
-        drop(ctrl_b);
-
-        let mut ctrl_c = Controller::new(g);
-        let mut exec =
-            ScaffoldExec::restore(&mut ctrl_c, KmerMapper::new(&g, 8, 8), contigs, 17, 3, &cp)
-                .unwrap();
-        ctrl_c.restore_accounting(saved_global, &saved_subs).unwrap();
-        // Re-feed the full stream under a different chunking: pairs below
-        // the cursor are buffered but not re-anchored.
-        for chunk in pairs.chunks(11) {
-            exec.feed(&mut ctrl_c, chunk).unwrap();
-        }
-        exec.seal();
-        let (scaffolds, stats) = exec.finish(&mut ctrl_c).unwrap();
-        assert_eq!(scaffolds, reference);
-        assert_eq!(stats, stats_ref);
-        assert_eq!(*ctrl_c.stats(), *ctrl_a.stats());
     }
 
     #[test]

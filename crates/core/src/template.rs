@@ -308,8 +308,8 @@ impl CompiledTemplate {
         self.inner.execute_sensed(port, subarray, rows)
     }
 
-    /// Materializes the template as an [`InstructionStream`] — the shape
-    /// the [`crate::programs`] constructors emit. One instruction per op;
+    /// Materializes the template as an [`InstructionStream`] — the program
+    /// a host runtime would emit. One instruction per op;
     /// the bulk size carries the per-row repetition, exactly as
     /// [`crate::exec::StreamExecutor`] expands it.
     ///
@@ -414,9 +414,21 @@ mod tests {
     }
 
     #[test]
-    fn full_adder_template_matches_program_constructor() {
+    fn full_adder_template_matches_stream_execution_and_pim_adder() {
         let cols = DramGeometry::paper_assembly().cols;
-        let (ctrl, id) = setup();
+        let a = BitRow::from_fn(cols, |i| i % 2 == 0);
+        let b = BitRow::from_fn(cols, |i| i % 3 == 0);
+        let c = BitRow::from_fn(cols, |i| i % 5 == 0);
+
+        let (mut direct, id) = setup();
+        let (mut streamed, _) = setup();
+        let (mut adder, _) = setup();
+        for ctrl in [&mut direct, &mut streamed, &mut adder] {
+            for (row, data) in [(1, &a), (2, &b), (3, &c)] {
+                ctrl.write_row(id, row, data).unwrap();
+            }
+            ctrl.write_row(id, 4, &BitRow::zeros(cols)).unwrap();
+        }
         let rows = [
             RowAddr(1),
             RowAddr(2),
@@ -424,13 +436,16 @@ mod tests {
             RowAddr(4),
             RowAddr(10),
             RowAddr(11),
-            ctrl.compute_row(0),
-            ctrl.compute_row(1),
-            ctrl.compute_row(2),
+            direct.compute_row(0),
+            direct.compute_row(1),
+            direct.compute_row(2),
         ];
         let template = CompiledTemplate::compile(TemplateKey::new(Kernel::FullAdder, cols, cols));
-        let stream = template.to_stream(id, &rows);
-        let reference = crate::programs::full_adder_program(
+        assert_eq!(template.command_counts(), (8, 1, 2));
+        template.execute(&mut direct, id, &rows).unwrap();
+        StreamExecutor::execute_stream(&mut streamed, &template.to_stream(id, &rows)).unwrap();
+        crate::pim_add::PimAdder::full_add(
+            &mut adder,
             id,
             RowAddr(1),
             RowAddr(2),
@@ -438,11 +453,21 @@ mod tests {
             RowAddr(4),
             RowAddr(10),
             RowAddr(11),
-            [ctrl.compute_row(0), ctrl.compute_row(1), ctrl.compute_row(2)],
-            cols,
-        );
-        assert_eq!(stream.instructions(), reference.instructions());
-        assert_eq!(template.command_counts(), (8, 1, 2));
+        )
+        .unwrap();
+
+        assert_eq!(*direct.stats(), *streamed.stats());
+        assert_eq!(direct.ledger(), streamed.ledger());
+        for row in 0..direct.geometry().rows {
+            assert_eq!(direct.peek_row(id, row).unwrap(), streamed.peek_row(id, row).unwrap());
+        }
+        assert_eq!(*direct.stats(), *adder.stats());
+        assert_eq!(direct.ledger(), adder.ledger());
+        for row in [10, 11] {
+            assert_eq!(direct.peek_row(id, row).unwrap(), adder.peek_row(id, row).unwrap());
+        }
+        assert_eq!(direct.peek_row(id, 10).unwrap(), a.xor(&b).xor(&c));
+        assert_eq!(direct.peek_row(id, 11).unwrap(), BitRow::maj3(&a, &b, &c));
     }
 
     #[test]

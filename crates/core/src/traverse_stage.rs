@@ -281,116 +281,6 @@ impl TraverseStage {
     }
 }
 
-/// Output artifact of the traverse stage: the walked trails plus the
-/// graph, partitioning, and graph statistics handed back for contig
-/// spelling and reporting.
-#[derive(Debug, Clone)]
-pub struct TraverseArtifact {
-    /// The Eulerian trails in walk order.
-    pub trails: Vec<Trail>,
-    /// Traverse-stage statistics.
-    pub stats: TraverseStats,
-    /// The (simplified) graph the trails were walked on.
-    pub graph: DeBruijnGraph,
-    /// The interval-block partitioning of the graph.
-    pub partitioning: crate::partition::Partitioning,
-    /// Statistics of the preceding graph stage.
-    pub graph_stats: crate::graph_stage::GraphStats,
-}
-
-/// The stage-3 executor of the staged engine: a single-chunk stage that
-/// walks the Eulerian trails of the (simplified) graph. Its checkpoint
-/// payload is the pre-simplification survivor list — a `stage = traverse`
-/// checkpoint is self-contained: [`crate::graph_stage::GraphStage::rebuild`]
-/// reconstructs the graph purely host-side on resume.
-#[derive(Debug, Clone)]
-pub struct TraverseExec {
-    graph: DeBruijnGraph,
-    partitioning: crate::partition::Partitioning,
-    graph_stats: crate::graph_stage::GraphStats,
-    survivors: Vec<(pim_genome::kmer::Kmer, u64)>,
-    work_out: SubarrayId,
-    work_in: SubarrayId,
-    done: Option<(Vec<Trail>, TraverseStats)>,
-}
-
-impl TraverseExec {
-    /// An executor over the finished (and, when configured, simplified)
-    /// graph. `survivors` are the pre-simplification post-filter entries
-    /// retained for the stage's checkpoint payload.
-    pub fn new(
-        graph: DeBruijnGraph,
-        partitioning: crate::partition::Partitioning,
-        graph_stats: crate::graph_stage::GraphStats,
-        survivors: Vec<(pim_genome::kmer::Kmer, u64)>,
-        work_out: SubarrayId,
-        work_in: SubarrayId,
-    ) -> Self {
-        TraverseExec { graph, partitioning, graph_stats, survivors, work_out, work_in, done: None }
-    }
-}
-
-impl crate::stages::Stage for TraverseExec {
-    type Chunk = ();
-    type Artifact = TraverseArtifact;
-
-    fn name(&self) -> &'static str {
-        "traverse"
-    }
-
-    fn cursor(&self) -> crate::stages::StageCursor {
-        crate::stages::StageCursor { done: self.done.is_some() as u64, total: Some(1) }
-    }
-
-    fn is_done(&self) -> bool {
-        self.done.is_some()
-    }
-
-    fn advance(&mut self, env: &mut crate::stages::StageEnv<'_>, _chunk: ()) -> Result<()> {
-        let (trails, stats) = TraverseStage::run_with_dispatcher(
-            env.ctrl,
-            env.dispatcher,
-            &self.graph,
-            self.work_out,
-            self.work_in,
-            EulerAlgorithm::Hierholzer,
-            env.config.opt_level,
-        )?;
-        self.done = Some((trails, stats));
-        Ok(())
-    }
-
-    fn save(
-        &self,
-        _env: &mut crate::stages::StageEnv<'_>,
-        cp: &mut crate::checkpoint::StageCheckpoint,
-    ) -> Result<()> {
-        let lines = self
-            .survivors
-            .iter()
-            .map(|(kmer, count)| format!("{} {} {count}", kmer.packed(), kmer.k()))
-            .collect();
-        cp.lists.insert("graph".into(), lines);
-        cp.fields.insert("graph.scanned".into(), self.graph_stats.scanned);
-        cp.fields.insert("graph.edges_inserted".into(), self.graph_stats.edges_inserted);
-        cp.fields.insert("graph.mem_inserts".into(), self.graph_stats.mem_inserts);
-        Ok(())
-    }
-
-    fn into_artifact(self, _env: &mut crate::stages::StageEnv<'_>) -> Result<TraverseArtifact> {
-        let (trails, stats) = self.done.ok_or_else(|| crate::error::PimError::Checkpoint {
-            reason: "traverse stage not yet advanced".into(),
-        })?;
-        Ok(TraverseArtifact {
-            trails,
-            stats,
-            graph: self.graph,
-            partitioning: self.partitioning,
-            graph_stats: self.graph_stats,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,47 +402,6 @@ mod tests {
             err,
             crate::error::PimError::Dram(pim_dram::DramError::SubarrayDetached { .. })
         ));
-    }
-
-    #[test]
-    fn traverse_exec_matches_direct_run() {
-        use crate::stages::Stage as _;
-        let g = graph_of("CGTGCGTGCTTACGGA", 5);
-        let (mut ctrl_a, work_out_a) = setup();
-        let work_in_a = ctrl_a.subarray_handle(0, 2, 0, 1).unwrap();
-        let dispatcher = ParallelDispatcher::serial();
-        let (trails_ref, stats_ref) = TraverseStage::run_with_dispatcher(
-            &mut ctrl_a,
-            &dispatcher,
-            &g,
-            work_out_a,
-            work_in_a,
-            EulerAlgorithm::Hierholzer,
-            OptLevel::O0,
-        )
-        .unwrap();
-
-        let (mut ctrl_b, work_out_b) = setup();
-        let work_in_b = ctrl_b.subarray_handle(0, 2, 0, 1).unwrap();
-        let config = crate::config::PimAssemblerConfig::small_test(5);
-        let partitioning = crate::partition::IntervalBlockPartitioner::new(2, 64).partition(&g);
-        let mut exec = TraverseExec::new(
-            g.clone(),
-            partitioning,
-            crate::graph_stage::GraphStats::default(),
-            Vec::new(),
-            work_out_b,
-            work_in_b,
-        );
-        assert!(!exec.is_done());
-        let mut env =
-            crate::stages::StageEnv { ctrl: &mut ctrl_b, dispatcher: &dispatcher, config: &config };
-        exec.advance(&mut env, ()).unwrap();
-        assert!(exec.is_done());
-        let art = exec.into_artifact(&mut env).unwrap();
-        assert_eq!(art.trails, trails_ref);
-        assert_eq!(art.stats, stats_ref);
-        assert_eq!(*ctrl_b.stats(), *ctrl_a.stats());
     }
 
     #[test]
