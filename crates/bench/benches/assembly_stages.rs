@@ -12,6 +12,8 @@ use pim_assembler::pipeline::PimAssembler;
 use pim_assembler::traverse_stage::TraverseStage;
 use pim_dram::controller::Controller;
 use pim_dram::geometry::DramGeometry;
+use pim_dram::schedule::{schedule, CommandQueue};
+use pim_dram::timing::TimingParams;
 use pim_genome::euler::EulerAlgorithm;
 use pim_genome::kmer::KmerIter;
 use pim_genome::reads::ReadSimulator;
@@ -85,9 +87,26 @@ fn bench_full_pipeline(c: &mut Criterion) {
     });
 }
 
+/// The report's command-bus schedule at the shape of a 50 kbp batch run:
+/// 65 sub-array queues of ~400k commands each under a DDR4 bus that
+/// issues one command every three clocks.
+fn bench_report_schedule(c: &mut Criterion) {
+    let queues: Vec<CommandQueue> = (0..65u64)
+        .map(|i| CommandQueue {
+            commands: 400_000 + 997 * i,
+            latency_ns: 40.0 + (i % 7) as f64 * 1.5,
+        })
+        .collect();
+    let issue_ns = 3.0 * TimingParams::ddr4_2133().t_ck_ns;
+    c.bench_function("report_schedule_65_queues_x_400k_cmds", |b| {
+        b.iter(|| black_box(schedule(black_box(&queues), issue_ns).effective_parallelism))
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_hashmap_stage, bench_graph_stage, bench_traverse_stage, bench_full_pipeline
+    targets = bench_hashmap_stage, bench_graph_stage, bench_traverse_stage, bench_full_pipeline,
+        bench_report_schedule
 }
 criterion_main!(benches);

@@ -1,15 +1,17 @@
 //! Subcommand implementations.
 
 use std::error::Error;
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::BufReader;
 use std::path::Path;
 
-use pim_assembler::{PimAssembler, PimAssemblerConfig};
+use pim_assembler::{PerfReport, PimAssembler, PimAssemblerConfig};
 use pim_genome::correction::ReadCorrector;
 use pim_genome::fasta::{read_fasta, write_fasta, FastaRecord};
 use pim_genome::fastq::read_fastq;
 use pim_genome::reads::{Read, ReadSimulator};
+use pim_obsv::SpanRecorder;
 use pim_platforms::throughput::{ThroughputReport, PAPER_VECTOR_BITS};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -263,22 +265,7 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
     );
 
     if args.has_flag("report") {
-        let r = &run.report;
-        println!("\nhardware report (Pd = {}, {:.0} chains):", r.pd, r.parallel_chains);
-        println!("  commands: {}", r.commands);
-        if let Some(par) = r.measured_parallelism {
-            println!("  schedule-measured sub-array parallelism: {par:.1}");
-        }
-        println!(
-            "  wall: hashmap {:.3} s | deBruijn {:.3} s | traverse {:.3} s",
-            r.hashmap.wall_s, r.debruijn.wall_s, r.traverse.wall_s
-        );
-        println!(
-            "  power {:.1} W | energy {:.3} J | MBR {:.1}% | RUR {:.1}%",
-            r.power_w, r.energy_j, r.mbr_percent, r.rur_percent
-        );
-        let chr14 = r.extrapolate_chr14();
-        println!("  chr14-scale extrapolation: {:.1} s @ {:.1} W", chr14.total_s(), chr14.power_w);
+        print!("\n{}", hardware_report(&run.report, assembler.span_recorder().map(|s| &**s)));
     }
 
     if let Some(path) = metrics_out {
@@ -307,6 +294,47 @@ pub fn assemble(args: &ParsedArgs) -> CliResult {
         eprintln!("wrote {} contigs to {out}", records.len());
     }
     Ok(())
+}
+
+/// The `assemble --report` block. Stage times are modeled device time;
+/// when the run recorded spans, each stage's host time is shown beside it.
+fn hardware_report(r: &PerfReport, spans: Option<&SpanRecorder>) -> String {
+    let events = spans.map(SpanRecorder::events).unwrap_or_default();
+    let stage = |label: &str, span: &str, device_s: f64| {
+        let host_ns =
+            events.iter().filter(|e| e.name == span).map(|e| e.dur_ns).reduce(|a, b| a + b);
+        match host_ns {
+            Some(ns) => {
+                format!("{label} {:.3} ms (host {:.3} ms)", device_s * 1e3, ns as f64 * 1e-6)
+            }
+            None => format!("{label} {:.3} ms", device_s * 1e3),
+        }
+    };
+    let mut out = format!("hardware report (Pd = {}, {:.0} chains):\n", r.pd, r.parallel_chains);
+    let _ = writeln!(out, "  commands: {}", r.commands);
+    if let Some(par) = r.measured_parallelism {
+        let _ = writeln!(out, "  schedule-measured sub-array parallelism: {par:.1}");
+    }
+    let _ = writeln!(
+        out,
+        "  modeled device time: {} | {} | {}",
+        stage("hashmap", "stage.hashmap", r.hashmap.wall_s),
+        stage("deBruijn", "stage.debruijn", r.debruijn.wall_s),
+        stage("traverse", "stage.traverse", r.traverse.wall_s)
+    );
+    let _ = writeln!(
+        out,
+        "  power {:.1} W | energy {:.3} J | MBR {:.1}% | RUR {:.1}%",
+        r.power_w, r.energy_j, r.mbr_percent, r.rur_percent
+    );
+    let chr14 = r.extrapolate_chr14();
+    let _ = writeln!(
+        out,
+        "  chr14-scale extrapolation: {:.1} s @ {:.1} W",
+        chr14.total_s(),
+        chr14.power_w
+    );
+    out
 }
 
 /// `pim-asm simulate`.
@@ -1006,6 +1034,26 @@ mod tests {
             metrics_path.to_str().unwrap().to_string(),
         ]);
         stats(&stats_args).unwrap();
+    }
+
+    #[test]
+    fn report_labels_stage_times_as_modeled_device_time() {
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let genome = DnaSequence::random(&mut rng, 800);
+        let reads = pim_genome::reads::ReadSimulator::new(60, 15.0).simulate(&genome, &mut rng);
+        let config = PimAssemblerConfig::paper(15).with_hash_subarrays(8);
+        let run = PimAssembler::new(config).assemble(&reads).unwrap();
+        let text = hardware_report(&run.report, None);
+        assert!(text.contains("  modeled device time: hashmap "), "{text}");
+        assert!(!text.contains("wall") && !text.contains("host"), "{text}");
+
+        // With a span recorder each stage's host time sits beside it.
+        let mut observed = PimAssembler::new(config.with_observability(true));
+        let run = observed.assemble(&reads).unwrap();
+        let text = hardware_report(&run.report, observed.span_recorder().map(|s| &**s));
+        let line = text.lines().find(|l| l.contains("modeled device time")).expect("device line");
+        assert!(line.contains("| deBruijn ") && line.contains("| traverse "), "{line}");
+        assert_eq!(line.matches(" ms (host ").count(), 3, "{line}");
     }
 
     #[test]

@@ -21,6 +21,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use pim_dram::ledger::{ClassTotals, CommandClass, EnergyLedger, COMMAND_CLASSES};
@@ -233,7 +235,12 @@ impl StageCheckpoint {
     }
 
     /// Atomically writes the checkpoint into `dir` (temp file + rename),
-    /// so an interrupted save leaves the previous checkpoint intact.
+    /// so an interrupted save leaves the previous checkpoint intact. A
+    /// checkpoint that records work is also crash-safe: the temp file
+    /// reaches the disk before the rename, and the directory after it.
+    /// The start-of-ingest checkpoint (`hashmap` at cursor 0) records
+    /// none, so a crash can cost nothing a restart would not redo, and it
+    /// skips the syncs.
     ///
     /// # Errors
     ///
@@ -241,10 +248,22 @@ impl StageCheckpoint {
     pub fn save(&self, dir: &Path) -> Result<()> {
         let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
         let fin = dir.join(CHECKPOINT_FILE);
-        std::fs::write(&tmp, self.to_text())
-            .map_err(|e| corrupt(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &fin)
-            .map_err(|e| corrupt(format!("rename to {}: {e}", fin.display())))?;
+        let failed = |what: &str, path: &Path, e: std::io::Error| {
+            corrupt(format!("{what} {}: {e}", path.display()))
+        };
+        let records_work = self.stage != "hashmap" || self.cursor > 0;
+        let mut file = File::create(&tmp).map_err(|e| failed("write", &tmp, e))?;
+        file.write_all(self.to_text().as_bytes()).map_err(|e| failed("write", &tmp, e))?;
+        if records_work {
+            file.sync_all().map_err(|e| failed("sync", &tmp, e))?;
+        }
+        drop(file);
+        std::fs::rename(&tmp, &fin).map_err(|e| failed("rename to", &fin, e))?;
+        // The rename is a change to the directory, which has its own sync.
+        #[cfg(unix)]
+        if records_work {
+            File::open(dir).and_then(|d| d.sync_all()).map_err(|e| failed("sync", dir, e))?;
+        }
         Ok(())
     }
 
@@ -382,6 +401,8 @@ mod tests {
         prepare_dir(&dir, false).unwrap();
         let cp = sample();
         cp.save(&dir).unwrap();
+        assert!(!dir.join(format!("{CHECKPOINT_FILE}.tmp")).exists());
+        assert_eq!(std::fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap(), cp.to_text());
         assert_eq!(StageCheckpoint::load(&dir).unwrap(), cp);
         // A second save overwrites atomically (no stale temp file left).
         cp.save(&dir).unwrap();

@@ -724,8 +724,12 @@ impl<'a> Session<'a> {
             // Ground-truth parallelism: schedule the measured per-sub-array
             // traffic under the shared command bus (three DDR commands per
             // issue) and attach the effective parallelism it achieves.
+            let schedule_start = spans.as_deref().map(SpanRecorder::now_ns);
             let queues = pim_dram::schedule::queues_from_totals(&ctrl.subarray_command_totals());
             let sched = pim_dram::schedule::schedule(&queues, 3.0 * config.timing.t_ck_ns);
+            if let (Some(spans), Some(t0)) = (spans.as_deref(), schedule_start) {
+                spans.record("report.schedule", "report", 0, t0, sched.commands as u64);
+            }
             let mut report = PerfReport::new(config, [s1, s2, s3], workload)
                 .with_measured_parallelism(sched.effective_parallelism);
             if let Some(mut snap) = session_snapshot(

@@ -13,6 +13,9 @@
 //! The scheduler is greedy earliest-ready-first, which is optimal for this
 //! two-resource model with equal-length commands per queue.
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
+
 /// One command queue: a sub-array's serial work, `commands` commands of
 /// `latency_ns` nanoseconds each.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,6 +42,12 @@ pub struct Schedule {
 /// Schedules `queues` under per-sub-array serialization and a shared
 /// command bus issuing one command per `issue_ns`.
 ///
+/// Each step issues the next command of the queue whose sub-array frees
+/// earliest; at equal `free_at` (compared with [`f64::total_cmp`]) the
+/// lowest queue index wins. The queues wait in a min-heap keyed by
+/// `(free_at, index)`, so the cost is O(commands · log queues) and the
+/// memory is one 16-byte key per queue.
+///
 /// # Examples
 ///
 /// ```
@@ -59,23 +68,26 @@ pub fn schedule(queues: &[CommandQueue], issue_ns: f64) -> Schedule {
     // Per-queue state: commands left and the time the sub-array frees.
     let mut left: Vec<u64> = queues.iter().map(|q| q.commands).collect();
     let mut free_at = vec![0f64; queues.len()];
+    let mut ready: BinaryHeap<Reverse<u128>> =
+        (0..queues.len()).filter(|&q| left[q] > 0).map(|q| Reverse(ready_key(0.0, q))).collect();
     let mut bus_free = 0f64;
     let mut makespan = 0f64;
-    let mut remaining = commands;
-    while remaining > 0 {
-        // Earliest-ready queue: a command is ready when its sub-array is
-        // free; it starts when both the sub-array and the bus are free.
-        // Ties go to the lowest queue index.
-        let q = (0..queues.len())
-            .filter(|&q| left[q] > 0)
-            .min_by(|&a, &b| free_at[a].total_cmp(&free_at[b]))
-            .expect("remaining > 0 implies a non-empty queue");
+    // A command is ready when its sub-array is free; it starts when both
+    // the sub-array and the bus are free.
+    while let Some(mut top) = ready.peek_mut() {
+        // The key's low 64 bits are the queue index.
+        let q = top.0 as u64 as usize;
         let start = free_at[q].max(bus_free);
         bus_free = start + issue_ns;
         free_at[q] = start + queues[q].latency_ns;
         makespan = makespan.max(free_at[q]);
         left[q] -= 1;
-        remaining -= 1;
+        if left[q] == 0 {
+            PeekMut::pop(top);
+        } else {
+            // Re-key the top in place; the heap sifts it down on drop.
+            top.0 = ready_key(free_at[q], q);
+        }
     }
     Schedule {
         makespan_ns: makespan,
@@ -83,6 +95,18 @@ pub fn schedule(queues: &[CommandQueue], issue_ns: f64) -> Schedule {
         effective_parallelism: if makespan > 0.0 { serial_ns / makespan } else { 0.0 },
         commands,
     }
+}
+
+/// Heap key of queue `q` freeing at `free_at`: the high 64 bits order
+/// like [`f64::total_cmp`] when compared unsigned, the low 64 bits are
+/// the index, so the least key is the earliest queue with ties to the
+/// lowest index.
+fn ready_key(free_at: f64, q: usize) -> u128 {
+    let bits = free_at.to_bits();
+    // Negative floats reverse their order, so flip every bit; positive
+    // ones only need to sort above every negative.
+    let ordered = if bits >> 63 == 1 { !bits } else { bits | 1 << 63 };
+    (u128::from(ordered) << 64) | q as u128
 }
 
 /// Builds one queue per sub-array from measured `(commands, busy_ns)`
@@ -167,6 +191,18 @@ mod tests {
         let s = schedule(&[], 1.0);
         assert_eq!(s.makespan_ns, 0.0);
         assert_eq!(s.commands, 0);
+    }
+
+    #[test]
+    fn ready_keys_order_like_total_cmp_then_index() {
+        let times =
+            [f64::NEG_INFINITY, -47.0, -f64::MIN_POSITIVE, -0.0, 0.0, 1e-310, 2.8, 47.0, f64::NAN];
+        for a in times {
+            for b in times {
+                assert_eq!(ready_key(a, 3).cmp(&ready_key(b, 3)), a.total_cmp(&b), "{a} vs {b}");
+            }
+            assert!(ready_key(a, 2) < ready_key(a, 3));
+        }
     }
 
     #[test]

@@ -174,6 +174,71 @@ proptest! {
     }
 
     #[test]
+    fn schedule_breaks_ties_like_the_reference(
+        commands in proptest::collection::vec(0u64..40, 1..32),
+        latency in (0usize..4).prop_map(|i| [1.0, 2.0, 8.0, 47.0][i]),
+        issue in (0usize..4).prop_map(|i| [0.0, 0.5, 1.0, 2.0][i]),
+    ) {
+        // One latency for every queue, and latency and bus period on a
+        // binary grid: sub-arrays often free at exactly the same time, so
+        // the lowest-index rule decides which queue issues next.
+        let queues: Vec<CommandQueue> =
+            commands.into_iter().map(|commands| CommandQueue { commands, latency_ns: latency }).collect();
+        matches_reference(&queues, issue)?;
+    }
+
+    #[test]
+    fn schedule_matches_the_reference_on_wide_inputs(
+        commands in proptest::collection::vec(0u64..12, 1..=300),
+        latencies in proptest::collection::vec(1.0f64..200.0, 300),
+        issue in 0.5f64..5.0,
+    ) {
+        let queues: Vec<CommandQueue> = commands
+            .into_iter()
+            .zip(latencies)
+            .map(|(commands, latency_ns)| CommandQueue { commands, latency_ns })
+            .collect();
+        matches_reference(&queues, issue)?;
+    }
+
+    #[test]
+    fn schedule_matches_the_reference_with_zero_latency_queues(
+        commands in proptest::collection::vec(1u64..24, 1..24),
+        latencies in proptest::collection::vec(0.0f64..100.0, 24),
+        zero in proptest::collection::vec(any::<bool>(), 24),
+        issue in 0.0f64..3.0,
+    ) {
+        let queues: Vec<CommandQueue> = commands
+            .into_iter()
+            .zip(latencies.into_iter().zip(zero))
+            .map(|(commands, (latency, zero))| CommandQueue {
+                commands,
+                latency_ns: if zero { 0.0 } else { latency },
+            })
+            .collect();
+        matches_reference(&queues, issue)?;
+    }
+
+    #[test]
+    fn schedule_matches_the_reference_in_both_bus_regimes(
+        commands in proptest::collection::vec(1u64..30, 1..40),
+        latency in 10.0f64..100.0,
+        slack in 0.1f64..0.9,
+    ) {
+        let n = commands.len() as f64;
+        let queues: Vec<CommandQueue> =
+            commands.into_iter().map(|commands| CommandQueue { commands, latency_ns: latency }).collect();
+        // Bus-bound: the bus cannot keep every sub-array busy.
+        let bus_issue = latency / n / slack;
+        prop_assert!(bus_issue * n > latency);
+        matches_reference(&queues, bus_issue)?;
+        // Sub-array-bound: the bus idles between sub-array frees.
+        let subarray_issue = latency / n * slack;
+        prop_assert!(subarray_issue * n < latency);
+        matches_reference(&queues, subarray_issue)?;
+    }
+
+    #[test]
     fn copy_preserves_content(a in bits(64), src in 0usize..16, dst in 16usize..24) {
         let (mut c, id) = setup();
         let ra = BitRow::from_bits(a);
@@ -341,6 +406,20 @@ fn reference_queues(totals: &[(u64, f64)]) -> Vec<Vec<f64>> {
         .filter(|&&(commands, _)| commands > 0)
         .map(|&(commands, busy_ns)| vec![busy_ns / commands as f64; commands as usize])
         .collect()
+}
+
+/// Checks that `schedule` gives the very same floats as the per-command
+/// reference on `queues`.
+fn matches_reference(queues: &[CommandQueue], issue_ns: f64) -> Result<(), String> {
+    let per_command: Vec<Vec<f64>> =
+        queues.iter().map(|q| vec![q.latency_ns; q.commands as usize]).collect();
+    let s = schedule(queues, issue_ns);
+    let r = reference_schedule(&per_command, issue_ns);
+    prop_assert_eq!(s.makespan_ns.to_bits(), r.makespan_ns.to_bits());
+    prop_assert_eq!(s.serial_ns.to_bits(), r.serial_ns.to_bits());
+    prop_assert_eq!(s.effective_parallelism.to_bits(), r.effective_parallelism.to_bits());
+    prop_assert_eq!(s.commands, r.commands);
+    Ok(())
 }
 
 /// The per-command greedy scheduler, kept as the oracle for the

@@ -8,9 +8,10 @@ use std::time::Instant;
 /// One completed span (a Chrome `"X"` complete event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Span name (e.g. `"stage.hashmap"`, `"dispatch.batch"`).
+    /// Span name (e.g. `"stage.hashmap"`, `"dispatch.batch"`,
+    /// `"report.schedule"`).
     pub name: &'static str,
-    /// Category tag (`"stage"` or `"dispatch"`).
+    /// Category tag (`"stage"`, `"dispatch"` or `"report"`).
     pub cat: &'static str,
     /// Track id (0 for the pipeline, worker index + 1 for pool workers).
     pub tid: u64,

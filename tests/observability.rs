@@ -75,6 +75,27 @@ fn full_snapshot_roundtrips_through_the_artifact_parser() {
 }
 
 #[test]
+fn the_report_schedule_is_a_traced_span() {
+    let (_, reads) = pim_bench::scaled_dataset(2000, 8.0, 42);
+    let config = PimAssemblerConfig::paper(15).with_hash_subarrays(16).with_observability(true);
+    let mut asm = PimAssembler::new(config);
+    let run = asm.assemble(&reads).expect("scaled run fits the hash partition");
+    let spans = asm.span_recorder().expect("observability enabled").events();
+    let names: Vec<&str> = spans.iter().map(|e| e.name).collect();
+    let at = |name: &str| names.iter().position(|&n| n == name);
+    // One schedule span per run, after the last stage it reports on, and
+    // it counts the commands the schedule placed on the bus.
+    assert_eq!(names.iter().filter(|&&n| n == "report.schedule").count(), 1, "{names:?}");
+    let schedule = at("report.schedule").expect("schedule span");
+    assert!(at("stage.traverse").expect("traverse span") < schedule, "{names:?}");
+    let snap = run.report.metrics.as_ref().expect("observability enabled");
+    let commands = spans[schedule].items;
+    assert!(commands > 0 && commands <= snap.counter("total.commands"));
+    // The snapshot is taken after the span, so it counts it.
+    assert_eq!(snap.host.get("spans.recorded").copied(), Some(spans.len() as u64));
+}
+
+#[test]
 fn observability_stays_off_by_default() {
     let (_, reads) = pim_bench::scaled_dataset(1000, 6.0, 42);
     let config = PimAssemblerConfig::paper(15).with_hash_subarrays(8);
