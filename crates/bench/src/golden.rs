@@ -9,10 +9,10 @@
 //! `GOLDEN_BLESS=1 cargo test --test golden_figures`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 use pim_circuits::area::AreaModel;
 use pim_circuits::variation::MonteCarlo;
+use pim_obsv::json::Json;
 use pim_platforms::assembly_model::{
     AssemblyCostModel, GpuAssemblyModel, PimAssemblyModel, StageBreakdown,
 };
@@ -26,22 +26,10 @@ use crate::{observed_mapping_run, observed_pim_run};
 /// metrics one, which reuses the `pim-obsv` snapshot schema).
 pub const GOLDEN_SCHEMA: &str = "pim-golden-v1";
 
-/// Renders sorted `key -> already-formatted value` pairs as a flat JSON
-/// object with one pair per line (diff-friendly).
-fn render(pairs: &BTreeMap<String, String>) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{GOLDEN_SCHEMA}\",");
-    for (i, (key, value)) in pairs.iter().enumerate() {
-        let sep = if i + 1 < pairs.len() { "," } else { "" };
-        let _ = writeln!(out, "  \"{key}\": {value}{sep}");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Shortest round-trip float formatting (`f64` parses back exactly).
-fn f(value: f64) -> String {
-    format!("{value}")
+/// The artifact: the schema tag, then the sorted pairs.
+fn render(pairs: BTreeMap<String, Json>) -> String {
+    Json::object([("schema".to_string(), Json::from(GOLDEN_SCHEMA))].into_iter().chain(pairs))
+        .render()
 }
 
 /// Fig. 3b — raw XNOR2/addition throughput of every platform at the
@@ -53,14 +41,14 @@ pub fn throughput_golden() -> String {
         let log2 = p.bits.trailing_zeros();
         pairs.insert(
             format!("throughput.{}.pow{log2}.xnor_bits_per_s", p.platform),
-            f(p.xnor_bits_per_s),
+            Json::num(p.xnor_bits_per_s),
         );
         pairs.insert(
             format!("throughput.{}.pow{log2}.add_bits_per_s", p.platform),
-            f(p.add_bits_per_s),
+            Json::num(p.add_bits_per_s),
         );
     }
-    render(&pairs)
+    render(pairs)
 }
 
 /// Table I — Monte-Carlo process-variation test error for TRA vs the
@@ -70,10 +58,13 @@ pub fn variation_golden(seed: u64) -> String {
     let mut pairs = BTreeMap::new();
     for row in &table.rows {
         let pct = row.variation_pct as u64;
-        pairs.insert(format!("variation.pm{pct:02}.tra_error_pct"), f(row.tra_error_pct));
-        pairs.insert(format!("variation.pm{pct:02}.two_row_error_pct"), f(row.two_row_error_pct));
+        pairs.insert(format!("variation.pm{pct:02}.tra_error_pct"), Json::num(row.tra_error_pct));
+        pairs.insert(
+            format!("variation.pm{pct:02}.two_row_error_pct"),
+            Json::num(row.two_row_error_pct),
+        );
     }
-    render(&pairs)
+    render(pairs)
 }
 
 /// §II-B — transistor accounting of the add-on hardware. Pure integers
@@ -81,15 +72,15 @@ pub fn variation_golden(seed: u64) -> String {
 pub fn area_golden() -> String {
     let a = AreaModel::paper();
     let mut pairs = BTreeMap::new();
-    pairs.insert("area.rows".into(), a.rows.to_string());
-    pairs.insert("area.cols".into(), a.cols.to_string());
-    pairs.insert("area.sa_addon_per_bitline".into(), a.sa_addon_per_bitline.to_string());
-    pairs.insert("area.mrd_addon".into(), a.mrd_addon.to_string());
-    pairs.insert("area.ctrl_addon".into(), a.ctrl_addon.to_string());
-    pairs.insert("area.addon_transistors".into(), a.addon_transistors().to_string());
-    pairs.insert("area.addon_row_equivalents".into(), a.addon_row_equivalents().to_string());
-    pairs.insert("area.overhead_percent".into(), f(a.overhead_percent()));
-    render(&pairs)
+    pairs.insert("area.rows".into(), Json::num(a.rows));
+    pairs.insert("area.cols".into(), Json::num(a.cols));
+    pairs.insert("area.sa_addon_per_bitline".into(), Json::num(a.sa_addon_per_bitline));
+    pairs.insert("area.mrd_addon".into(), Json::num(a.mrd_addon));
+    pairs.insert("area.ctrl_addon".into(), Json::num(a.ctrl_addon));
+    pairs.insert("area.addon_transistors".into(), Json::num(a.addon_transistors()));
+    pairs.insert("area.addon_row_equivalents".into(), Json::num(a.addon_row_equivalents()));
+    pairs.insert("area.overhead_percent".into(), Json::num(a.overhead_percent()));
+    render(pairs)
 }
 
 /// Figs. 9 & 11 — the analytic chr14-scale assembly cost model: per-stage
@@ -108,16 +99,16 @@ pub fn assembly_model_golden() -> String {
         ];
         for b in &rows {
             let base = format!("model.k{k}.{}", b.name);
-            pairs.insert(format!("{base}.hashmap_s"), f(b.hashmap_s));
-            pairs.insert(format!("{base}.debruijn_s"), f(b.debruijn_s));
-            pairs.insert(format!("{base}.traverse_s"), f(b.traverse_s));
-            pairs.insert(format!("{base}.transfer_s"), f(b.transfer_s));
-            pairs.insert(format!("{base}.power_w"), f(b.power_w));
-            pairs.insert(format!("{base}.mbr_percent"), f(mbr_percent(b)));
-            pairs.insert(format!("{base}.rur_percent"), f(rur_percent(b)));
+            pairs.insert(format!("{base}.hashmap_s"), Json::num(b.hashmap_s));
+            pairs.insert(format!("{base}.debruijn_s"), Json::num(b.debruijn_s));
+            pairs.insert(format!("{base}.traverse_s"), Json::num(b.traverse_s));
+            pairs.insert(format!("{base}.transfer_s"), Json::num(b.transfer_s));
+            pairs.insert(format!("{base}.power_w"), Json::num(b.power_w));
+            pairs.insert(format!("{base}.mbr_percent"), Json::num(mbr_percent(b)));
+            pairs.insert(format!("{base}.rur_percent"), Json::num(rur_percent(b)));
         }
     }
-    render(&pairs)
+    render(pairs)
 }
 
 /// The functional pipeline's deterministic `pim-obsv` metrics snapshot

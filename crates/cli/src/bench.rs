@@ -12,8 +12,8 @@
 //! must never be mixed into per-command figures.
 //!
 //! The JSON schema is flat on purpose (one object per measurement, all
-//! values in nanoseconds per operation) so it can be produced and consumed
-//! without a serde dependency.
+//! values in nanoseconds per operation); it is written and read through
+//! the `pim_obsv::json` codec, one member per line.
 
 use std::time::Instant;
 
@@ -27,6 +27,7 @@ use pim_dram::geometry::DramGeometry;
 use pim_dram::sense_amp::SaMode;
 use pim_genome::reads::ReadSimulator;
 use pim_genome::sequence::DnaSequence;
+use pim_obsv::json::Json;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -403,64 +404,81 @@ pub fn run_all_for(
 /// measurements are given, matching names gain `baseline_ns_per_op` and
 /// `speedup` fields.
 pub fn to_json(report: &BenchReport, baseline: &[Measurement]) -> String {
-    let mut out = format!(
-        "{{\n  \"schema\": \"pim-bench-hotpath-v3\",\n  \"backend\": \"{}\",\n  \
-         \"opt_level\": \"{}\",\n  \"results\": [\n",
-        report.backend, report.opt_level
-    );
-    for (i, m) in report.measurements.iter().enumerate() {
-        let sep = if i + 1 < report.measurements.len() { "," } else { "" };
-        let execution = if m.execution.is_empty() { "batch" } else { m.execution };
-        let base = baseline.iter().find(|b| b.name == m.name);
-        match base {
-            Some(b) if m.ns_per_op > 0.0 => out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"workload\": \"{}\", \"execution\": \"{}\", \
-                 \"ns_per_op\": {:.2}, \"ops\": {}, \"baseline_ns_per_op\": {:.2}, \
-                 \"speedup\": {:.3}}}{}\n",
-                m.name,
-                m.workload,
-                execution,
-                m.ns_per_op,
-                m.ops,
-                b.ns_per_op,
-                b.ns_per_op / m.ns_per_op,
-                sep
-            )),
-            _ => out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"workload\": \"{}\", \"execution\": \"{}\", \
-                 \"ns_per_op\": {:.2}, \"ops\": {}}}{}\n",
-                m.name, m.workload, execution, m.ns_per_op, m.ops, sep
-            )),
+    let results = report.measurements.iter().map(|m| {
+        let mut fields = vec![
+            ("name", Json::from(m.name.as_str())),
+            ("workload", Json::from(m.workload)),
+            ("execution", Json::from(m.execution)),
+            ("ns_per_op", Json::fixed(m.ns_per_op, 2)),
+            ("ops", Json::num(m.ops)),
+        ];
+        if let Some(b) = baseline.iter().find(|b| b.name == m.name && m.ns_per_op > 0.0) {
+            fields.push(("baseline_ns_per_op", Json::fixed(b.ns_per_op, 2)));
+            fields.push(("speedup", Json::fixed(b.ns_per_op / m.ns_per_op, 3)));
+        }
+        Json::object(fields)
+    });
+    Json::object([
+        ("schema", Json::from("pim-bench-hotpath-v3")),
+        ("backend", Json::from(report.backend)),
+        ("opt_level", Json::from(report.opt_level)),
+        ("results", Json::Array(results.collect())),
+        ("serial_parallel_identical", Json::Bool(report.serial_parallel_identical)),
+    ])
+    .render()
+}
+
+/// Why a `--baseline` file cannot serve as a baseline.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BaselineError {
+    /// Not JSON, or not a `pim-bench-hotpath-*` artifact whose `results`
+    /// are `{"name", "ns_per_op"}` objects; says which.
+    NotAnArtifact(String),
+    /// A bench artifact whose `results` array is empty.
+    NoMeasurements,
+}
+
+impl std::fmt::Display for BaselineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BaselineError::NotAnArtifact(why) => write!(f, "not a bench artifact ({why})"),
+            BaselineError::NoMeasurements => f.write_str("bench artifact holds no measurements"),
         }
     }
-    out.push_str(&format!(
-        "  ],\n  \"serial_parallel_identical\": {}\n}}\n",
-        report.serial_parallel_identical
-    ));
-    out
 }
+
+impl std::error::Error for BaselineError {}
 
 /// Parses the measurements back out of a `BENCH_*.json` artifact produced
 /// by [`to_json`] (names and `ns_per_op` only — enough to baseline).
-pub fn parse_measurements(json: &str) -> Vec<Measurement> {
-    let mut out = Vec::new();
-    for chunk in json.split("{\"name\": \"").skip(1) {
-        let Some(name_end) = chunk.find('"') else { continue };
-        let name = &chunk[..name_end];
-        let Some(v) = chunk[name_end..].split("\"ns_per_op\": ").nth(1) else { continue };
-        let num: String =
-            v.chars().take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-').collect();
-        if let Ok(ns_per_op) = num.parse::<f64>() {
-            out.push(Measurement {
-                name: name.to_string(),
-                ns_per_op,
-                ops: 0,
-                workload: "",
-                execution: "",
-            });
-        }
+///
+/// # Errors
+///
+/// [`BaselineError`] when the text is not a bench artifact or holds no
+/// measurements.
+pub fn parse_measurements(json: &str) -> Result<Vec<Measurement>, BaselineError> {
+    let not_bench = |why: &str| BaselineError::NotAnArtifact(why.to_string());
+    let doc = Json::parse(json).map_err(|e| not_bench(&e.to_string()))?;
+    match doc.get("schema") {
+        Some(Json::String(s)) if s.starts_with("pim-bench-hotpath-") => {}
+        _ => return Err(not_bench("no pim-bench-hotpath schema")),
     }
-    out
+    let Some(Json::Array(results)) = doc.get("results") else {
+        return Err(not_bench("no results array"));
+    };
+    if results.is_empty() {
+        return Err(BaselineError::NoMeasurements);
+    }
+    let measurement = |m: &Json| {
+        let Some(Json::String(name)) = m.get("name") else { return None };
+        let ns_per_op = m.get("ns_per_op")?.number()?;
+        Some(Measurement { name: name.clone(), ns_per_op, ops: 0, workload: "", execution: "" })
+    };
+    results
+        .iter()
+        .map(measurement)
+        .collect::<Option<_>>()
+        .ok_or_else(|| not_bench("a result lacks a string name or a numeric ns_per_op"))
 }
 
 #[cfg(test)]
@@ -493,11 +511,58 @@ mod tests {
         let json = to_json(&report, &[]);
         assert!(json.contains("\"backend\": \"pim-assembler\""), "{json}");
         assert!(json.contains("\"opt_level\": \"O0\""), "{json}");
-        let parsed = parse_measurements(&json);
+        let parsed = parse_measurements(&json).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, "op2_xnor");
         assert!((parsed[0].ns_per_op - 123.45).abs() < 1e-9);
         assert!((parsed[1].ns_per_op - 9.5e8).abs() < 1.0);
+    }
+
+    #[test]
+    fn committed_baselines_parse_to_their_measurements() {
+        let pairs = |json: &str| -> Vec<(String, f64)> {
+            parse_measurements(json).unwrap().into_iter().map(|m| (m.name, m.ns_per_op)).collect()
+        };
+        let expect = |list: &[(&str, f64)]| -> Vec<(String, f64)> {
+            list.iter().map(|&(n, v)| (n.to_string(), v)).collect()
+        };
+        assert_eq!(
+            pairs(include_str!("../../../BENCH_pr3.json")),
+            expect(&[
+                ("op2_xnor", 61.79),
+                ("op3_carry", 64.96),
+                ("stream_full_adder", 494.56),
+                ("pipeline_e2e_serial", 65128275.0),
+                ("pipeline_e2e_pool4", 71542142.0),
+            ])
+        );
+        assert_eq!(
+            pairs(include_str!("../../../BENCH_pr7.json")),
+            expect(&[
+                ("op2_xnor", 47.39),
+                ("op3_carry", 60.37),
+                ("stream_full_adder", 372.1),
+                ("ir_compile_kernels", 6002.0),
+                ("pipeline_e2e_serial", 6068138.0),
+                ("pipeline_e2e_pool4", 6588641.0),
+            ])
+        );
+    }
+
+    #[test]
+    fn baseline_errors_distinguish_non_artifacts_from_empty_ones() {
+        let err = parse_measurements("not json").unwrap_err();
+        assert!(err.to_string().contains("invalid JSON at byte 0"), "{err}");
+        for not_bench in [
+            r#"{"schema": "pim-obsv-metrics-v1", "counters": {}}"#,
+            r#"{"results": [{"name": "op2_xnor", "ns_per_op": 1.0}]}"#,
+            r#"{"schema": "pim-bench-hotpath-v3", "results": [{"name": "op2_xnor"}]}"#,
+        ] {
+            let err = parse_measurements(not_bench).unwrap_err();
+            assert!(matches!(err, BaselineError::NotAnArtifact(_)), "{not_bench}: {err}");
+        }
+        let empty = r#"{"schema": "pim-bench-hotpath-v3", "results": []}"#;
+        assert_eq!(parse_measurements(empty), Err(BaselineError::NoMeasurements));
     }
 
     #[test]

@@ -601,7 +601,8 @@ pub fn bench(args: &ParsedArgs) -> CliResult {
         None => pim_assembler::ir::BackendKind::PimAssembler,
     };
     let baseline = match args.get_str("baseline") {
-        Some(path) => crate::bench::parse_measurements(&std::fs::read_to_string(path)?),
+        Some(path) => crate::bench::parse_measurements(&std::fs::read_to_string(path)?)
+            .map_err(|e| format!("--baseline {path}: {e}"))?,
         None => Vec::new(),
     };
     let opt = parse_opt_level(args)?;
@@ -898,6 +899,30 @@ mod tests {
         let args = ParsedArgs::parse(["bench", "--backend", "gpu"].map(String::from));
         let err = bench(&args).unwrap_err().to_string();
         assert!(err.contains("unknown backend"), "{err}");
+    }
+
+    #[test]
+    fn bench_rejects_baselines_that_are_not_bench_artifacts() {
+        let empty = r#"{"schema": "pim-bench-hotpath-v3", "results": []}"#;
+        for (name, text, reason) in [
+            ("baseline_not_json.json", "not json", "not a bench artifact"),
+            (
+                "baseline_metrics.json",
+                "{\"schema\": \"pim-obsv-metrics-v1\"}",
+                "not a bench artifact",
+            ),
+            ("baseline_empty.json", empty, "holds no measurements"),
+        ] {
+            let path = tmp(name);
+            std::fs::write(&path, text).unwrap();
+            let path = path.to_str().unwrap().to_string();
+            let args = ParsedArgs::parse(
+                ["bench", "--iters", "5", "--genome-len", "400", "--baseline", &path]
+                    .map(String::from),
+            );
+            let err = bench(&args).unwrap_err().to_string();
+            assert!(err.contains(&path) && err.contains(reason), "{err}");
+        }
     }
 
     #[test]

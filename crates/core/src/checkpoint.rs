@@ -240,20 +240,21 @@ impl StageCheckpoint {
     /// reaches the disk before the rename, and the directory after it.
     /// The start-of-ingest checkpoint (`hashmap` at cursor 0) records
     /// none, so a crash can cost nothing a restart would not redo, and it
-    /// skips the syncs.
+    /// skips the syncs. Returns the number of bytes written.
     ///
     /// # Errors
     ///
     /// [`PimError::Checkpoint`] on any I/O failure.
-    pub fn save(&self, dir: &Path) -> Result<()> {
+    pub fn save(&self, dir: &Path) -> Result<u64> {
         let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
         let fin = dir.join(CHECKPOINT_FILE);
         let failed = |what: &str, path: &Path, e: std::io::Error| {
             corrupt(format!("{what} {}: {e}", path.display()))
         };
         let records_work = self.stage != "hashmap" || self.cursor > 0;
+        let text = self.to_text();
         let mut file = File::create(&tmp).map_err(|e| failed("write", &tmp, e))?;
-        file.write_all(self.to_text().as_bytes()).map_err(|e| failed("write", &tmp, e))?;
+        file.write_all(text.as_bytes()).map_err(|e| failed("write", &tmp, e))?;
         if records_work {
             file.sync_all().map_err(|e| failed("sync", &tmp, e))?;
         }
@@ -264,7 +265,7 @@ impl StageCheckpoint {
         if records_work {
             File::open(dir).and_then(|d| d.sync_all()).map_err(|e| failed("sync", dir, e))?;
         }
-        Ok(())
+        Ok(text.len() as u64)
     }
 
     /// Loads and parses the checkpoint stored in `dir`.
@@ -400,7 +401,7 @@ mod tests {
         let dir = temp_dir("roundtrip");
         prepare_dir(&dir, false).unwrap();
         let cp = sample();
-        cp.save(&dir).unwrap();
+        assert_eq!(cp.save(&dir).unwrap(), cp.to_text().len() as u64);
         assert!(!dir.join(format!("{CHECKPOINT_FILE}.tmp")).exists());
         assert_eq!(std::fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap(), cp.to_text());
         assert_eq!(StageCheckpoint::load(&dir).unwrap(), cp);

@@ -28,7 +28,7 @@ use crate::template::{CompiledTemplate, Kernel, TemplateKey};
 
 /// Upper bound on the probe kernel's role count across backends (the
 /// Ambit rewrite is the widest: 3 data roles + zero constant + scratch
-/// slots ≤ 8). Lets non-default backends bind roles on the stack.
+/// slots ≤ 8). Lets every backend bind its roles on the stack.
 const MAX_PROBE_ROLES: usize = 16;
 
 /// Executes `PIM_XNOR` comparisons against a staged query.
@@ -129,16 +129,10 @@ impl PimComparator {
         candidate: RowAddr,
         scratch: RowAddr,
     ) -> Result<bool> {
-        if self.backend() == BackendKind::PimAssembler {
-            // Hot path: the canonical role order [a, b, dst, x1, x2],
-            // bound on the stack with no per-role dispatch.
-            let rows = [temp_row, candidate, scratch, ctrl.compute_row(0), ctrl.compute_row(1)];
-            let xnor = self.xnor.execute_sensed(ctrl, subarray, &rows)?;
-            return Ok(Dpu::and_reduce(ctrl, &xnor));
-        }
-        // Retargeted path: bind the backend's role table by class — the
-        // query and candidate are the inputs in declaration order, scratch
-        // is the output, zero roles bind the configured zero row.
+        // Bind the backend's role table by class: the query and candidate
+        // are the inputs in declaration order, scratch is the output, temps
+        // are the compute rows and zero roles bind the configured zero row
+        // (on P-A this is `[a, b, dst, x1, x2]`).
         let mut rows = [RowAddr(0); MAX_PROBE_ROLES];
         let n = self
             .xnor
@@ -171,6 +165,20 @@ mod tests {
         let id = ctrl.subarray_handle(0, 0, 0, 0).unwrap();
         let cmp = PimComparator::new(g.cols);
         (ctrl, id, SubarrayLayout::new(&g), KmerMapper::new(&g, 1, 8), cmp)
+    }
+
+    #[test]
+    fn pim_assembler_probes_bind_the_canonical_role_order() {
+        let g = DramGeometry::paper_assembly();
+        let ctrl = Controller::new(g);
+        let (a, b, dst) = (RowAddr(1), RowAddr(2), RowAddr(3));
+        for opt in [OptLevel::O0, OptLevel::O2] {
+            let cmp = PimComparator::with_backend(g.cols, BackendKind::PimAssembler, a, opt);
+            let mut rows = [RowAddr(0); MAX_PROBE_ROLES];
+            let n =
+                cmp.kernel().bind_roles_into(&ctrl, &[a, b], &[dst], a, &[], &mut rows).unwrap();
+            assert_eq!(rows[..n], [a, b, dst, ctrl.compute_row(0), ctrl.compute_row(1)], "{opt:?}");
+        }
     }
 
     #[test]

@@ -758,10 +758,12 @@ impl<'a> Session<'a> {
     }
 
     /// Writes the session checkpoint for `stage` at `cursor` when a
-    /// checkpoint directory is configured.
+    /// checkpoint directory is configured, as a `checkpoint.write` span
+    /// (items = bytes written) when spans are recorded.
     fn write_checkpoint(&mut self, stage: &str, cursor: u64) -> Result<()> {
         let Some(dir) = self.dir.clone() else { return Ok(()) };
         let PimAssembler { config, ctrl, dispatcher, spans } = &mut *self.asm;
+        let span_t0 = spans.as_deref().map(SpanRecorder::now_ns);
         let mut cp = StageCheckpoint::new(&config.fingerprint(), stage, cursor);
         let hash_stats = match &self.phase {
             Phase::Ingest(exec) => {
@@ -809,7 +811,11 @@ impl<'a> Session<'a> {
             cp.counters = snap.counters;
             cp.host = snap.host;
         }
-        cp.save(&dir)
+        let bytes = cp.save(&dir)?;
+        if let (Some(spans), Some(t0)) = (spans.as_deref(), span_t0) {
+            spans.record("checkpoint.write", "checkpoint", 0, t0, bytes);
+        }
+        Ok(())
     }
 }
 

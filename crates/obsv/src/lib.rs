@@ -13,10 +13,15 @@
 //!   deltas are folded in at stage boundaries.
 //! * [`MetricsSnapshot`] — a flat, serde-free JSON snapshot
 //!   (`--metrics-out metrics.json`) merged into `PerfReport`.
-//! * [`SpanRecorder`] — begin/end spans for pipeline stages and dispatcher
-//!   batches in a bounded ring buffer, exportable as Chrome `trace_event`
-//!   JSON (`--trace-out trace.json`, readable in `chrome://tracing` or
-//!   Perfetto).
+//! * [`SpanRecorder`] — begin/end spans for pipeline stages, checkpoint
+//!   writes, the report's schedule and dispatcher batches in a bounded
+//!   ring buffer, exportable as Chrome `trace_event` JSON (`--trace-out
+//!   trace.json`, readable in `chrome://tracing` or Perfetto).
+//! * [`json`] — the one JSON codec behind every artifact: the snapshot,
+//!   the trace, the `pim-asm bench` report and the golden files. Numbers
+//!   stay text (exact integers, writer-chosen float precision), the
+//!   layout is two-space indent with one member per line, and the parser
+//!   rejects anything else without panicking.
 //! * [`StageBudget`] — a watchdog comparing live counters against expected
 //!   bounds derived from the compiled AAP templates, surfaced through the
 //!   `pim-verify` invariant checker.
@@ -32,6 +37,7 @@
 mod budget;
 mod counters;
 mod dispatch;
+pub mod json;
 mod registry;
 mod snapshot;
 mod span;

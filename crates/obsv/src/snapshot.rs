@@ -1,7 +1,8 @@
 //! Flat, serde-free metrics snapshot (the `--metrics-out` artifact).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+use crate::json::Json;
 
 /// Schema tag written into every snapshot artifact.
 pub const SNAPSHOT_SCHEMA: &str = "pim-obsv-metrics-v1";
@@ -58,75 +59,42 @@ impl MetricsSnapshot {
     }
 
     fn render(&self, with_host: bool) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{SNAPSHOT_SCHEMA}\",");
-        render_u64_section(&mut out, "counters", &self.counters, true);
-        render_f64_section(&mut out, "floats", &self.floats, with_host);
+        let section = |map: &BTreeMap<String, u64>| {
+            Json::object(map.iter().map(|(k, v)| (k.as_str(), Json::num(v))))
+        };
+        let floats = self.floats.iter().map(|(k, v)| (k.as_str(), Json::fixed(*v, 9)));
+        let mut members = vec![
+            ("schema", Json::from(SNAPSHOT_SCHEMA)),
+            ("counters", section(&self.counters)),
+            ("floats", Json::object(floats)),
+        ];
         if with_host {
-            render_u64_section(&mut out, "host", &self.host, false);
+            members.push(("host", section(&self.host)));
         }
-        out.push_str("}\n");
-        out
+        Json::object(members).render()
     }
 
     /// Parses an artifact produced by [`to_json`](Self::to_json) or
     /// [`deterministic_json`](Self::deterministic_json). Returns `None`
-    /// when the schema tag is missing or a value fails to parse.
+    /// unless the text is one valid JSON object carrying the schema tag
+    /// and the `counters` and `floats` sections (`host` is optional).
     pub fn parse(json: &str) -> Option<MetricsSnapshot> {
-        if !json.contains(SNAPSHOT_SCHEMA) {
+        let doc = Json::parse(json).ok()?;
+        if doc.get("schema")? != &Json::from(SNAPSHOT_SCHEMA) {
             return None;
         }
-        let mut snap = MetricsSnapshot::new();
-        for (key, value) in section_pairs(json, "counters")? {
-            snap.counters.insert(key, value.parse::<u64>().ok()?);
-        }
-        if let Some(pairs) = section_pairs(json, "floats") {
-            for (key, value) in pairs {
-                snap.floats.insert(key, value.parse::<f64>().ok()?);
-            }
-        }
-        if let Some(pairs) = section_pairs(json, "host") {
-            for (key, value) in pairs {
-                snap.host.insert(key, value.parse::<u64>().ok()?);
-            }
-        }
-        Some(snap)
+        Some(MetricsSnapshot {
+            counters: section(doc.get("counters")?)?,
+            floats: section(doc.get("floats")?)?,
+            host: doc.get("host").map_or(Some(BTreeMap::new()), section)?,
+        })
     }
 }
 
-fn render_u64_section(out: &mut String, name: &str, map: &BTreeMap<String, u64>, comma: bool) {
-    let _ = writeln!(out, "  \"{name}\": {{");
-    for (i, (key, value)) in map.iter().enumerate() {
-        let sep = if i + 1 < map.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{key}\": {value}{sep}");
-    }
-    let _ = writeln!(out, "  }}{}", if comma { "," } else { "" });
-}
-
-fn render_f64_section(out: &mut String, name: &str, map: &BTreeMap<String, f64>, comma: bool) {
-    let _ = writeln!(out, "  \"{name}\": {{");
-    for (i, (key, value)) in map.iter().enumerate() {
-        let sep = if i + 1 < map.len() { "," } else { "" };
-        let _ = writeln!(out, "    \"{key}\": {value:.9}{sep}");
-    }
-    let _ = writeln!(out, "  }}{}", if comma { "," } else { "" });
-}
-
-/// Extracts `"key": value` pairs from the one-pair-per-line body of a
-/// named section. Lenient by design — only consumed by our own emitters.
-fn section_pairs(json: &str, name: &str) -> Option<Vec<(String, String)>> {
-    let tag = format!("\"{name}\": {{");
-    let start = json.find(&tag)? + tag.len();
-    let end = json[start..].find('}')? + start;
-    let mut pairs = Vec::new();
-    for line in json[start..end].lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else { continue };
-        let Some((key, value)) = rest.split_once("\": ") else { continue };
-        pairs.push((key.to_string(), value.trim().to_string()));
-    }
-    Some(pairs)
+/// Reads one `{"key": number}` section.
+fn section<T: std::str::FromStr>(value: &Json) -> Option<BTreeMap<String, T>> {
+    let Json::Object(members) = value else { return None };
+    members.iter().map(|(k, v)| Some((k.clone(), v.number()?))).collect()
 }
 
 #[cfg(test)]
@@ -158,6 +126,20 @@ mod tests {
 
     #[test]
     fn missing_schema_is_rejected() {
-        assert!(MetricsSnapshot::parse("{\"counters\": {}}").is_none());
+        assert!(MetricsSnapshot::parse("{\"counters\": {}, \"floats\": {}}").is_none());
+    }
+
+    #[test]
+    fn truncated_and_duplicated_snapshots_are_rejected() {
+        let mut snap = MetricsSnapshot::new();
+        snap.add_counter("hashmap.aap2", 42);
+        snap.floats.insert("measured_parallelism".into(), 3.5);
+        let json = snap.to_json();
+        let cut = json.find("  \"floats\"").expect("floats section");
+        assert!(MetricsSnapshot::parse(&json[..cut]).is_none(), "{}", &json[..cut]);
+        let line = "    \"hashmap.aap2\": 42";
+        let dup = json.replace(line, &[line, line].join(",\n"));
+        assert_ne!(dup, json);
+        assert!(MetricsSnapshot::parse(&dup).is_none(), "{dup}");
     }
 }

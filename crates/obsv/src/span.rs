@@ -1,9 +1,10 @@
 //! Bounded-ring span recording with Chrome `trace_event` export.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::json::Json;
 
 /// One completed span (a Chrome `"X"` complete event).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -11,7 +12,8 @@ pub struct SpanEvent {
     /// Span name (e.g. `"stage.hashmap"`, `"dispatch.batch"`,
     /// `"report.schedule"`).
     pub name: &'static str,
-    /// Category tag (`"stage"`, `"dispatch"` or `"report"`).
+    /// Category tag (`"stage"`, `"dispatch"`, `"report"` or
+    /// `"checkpoint"`).
     pub cat: &'static str,
     /// Track id (0 for the pipeline, worker index + 1 for pool workers).
     pub tid: u64,
@@ -112,27 +114,26 @@ impl SpanRecorder {
 
     /// Renders the retained spans as Chrome `trace_event` JSON
     /// (`traceEvents` array of `"X"` complete events, timestamps in
-    /// microseconds), loadable in `chrome://tracing` or Perfetto.
+    /// microseconds, one member per line), loadable in `chrome://tracing`
+    /// or Perfetto.
     pub fn to_chrome_json(&self) -> String {
-        let events = self.events();
-        let mut out = String::from("{\n  \"displayTimeUnit\": \"ns\",\n  \"traceEvents\": [\n");
-        for (i, e) in events.iter().enumerate() {
-            let sep = if i + 1 < events.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 1, \
-                 \"tid\": {}, \"ts\": {:.3}, \"dur\": {:.3}, \"args\": {{\"items\": {}}}}}{}",
-                e.name,
-                e.cat,
-                e.tid,
-                e.start_ns as f64 / 1000.0,
-                e.dur_ns as f64 / 1000.0,
-                e.items,
-                sep
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let events = self.events().into_iter().map(|e| {
+            Json::object([
+                ("name", Json::from(e.name)),
+                ("cat", Json::from(e.cat)),
+                ("ph", Json::from("X")),
+                ("pid", Json::num(1)),
+                ("tid", Json::num(e.tid)),
+                ("ts", Json::fixed(e.start_ns as f64 / 1000.0, 3)),
+                ("dur", Json::fixed(e.dur_ns as f64 / 1000.0, 3)),
+                ("args", Json::object([("items", Json::num(e.items))])),
+            ])
+        });
+        Json::object([
+            ("displayTimeUnit", Json::from("ns")),
+            ("traceEvents", Json::Array(events.collect())),
+        ])
+        .render()
     }
 }
 
@@ -151,6 +152,10 @@ mod tests {
         assert!(json.contains("\"traceEvents\""), "{json}");
         assert!(json.contains("\"stage.hashmap\""), "{json}");
         assert!(json.contains("\"ph\": \"X\""), "{json}");
+        let doc = Json::parse(&json).expect("trace parses");
+        let Some(Json::Array(events)) = doc.get("traceEvents") else { panic!("{json}") };
+        let event = &events[0];
+        assert_eq!(event.get("args").and_then(|a| a.get("items")), Some(&Json::num(100)));
     }
 
     #[test]

@@ -18,6 +18,8 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 
+use pim_obsv::json::Json;
+
 /// Float comparison tolerance (absolute, and relative to the golden
 /// value's magnitude).
 const FLOAT_TOLERANCE: f64 = 1e-9;
@@ -26,21 +28,23 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
 }
 
-/// Extracts the flat `"key": value` pairs from a golden artifact. Values
-/// stay raw strings; section openers (`"counters": {`) are skipped.
+/// Extracts the leaf `"key": value` pairs of a golden artifact through
+/// the shared codec. Values stay their JSON text; section objects
+/// (`"counters": {`) are descended into, not listed.
 fn entries(json: &str) -> BTreeMap<String, String> {
-    let mut map = BTreeMap::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some(rest) = line.strip_prefix('"') else { continue };
-        let Some((key, value)) = rest.split_once("\": ") else { continue };
-        let value = value.trim();
-        if value.starts_with('{') {
-            continue;
+    fn walk(value: &Json, map: &mut BTreeMap<String, String>) {
+        let Json::Object(members) = value else { panic!("artifact sections are objects") };
+        for (key, value) in members {
+            if let Json::Object(_) = value {
+                walk(value, map);
+                continue;
+            }
+            let clash = map.insert(key.clone(), value.to_string());
+            assert!(clash.is_none(), "duplicate key {key:?} in artifact");
         }
-        let clash = map.insert(key.to_string(), value.to_string());
-        assert!(clash.is_none(), "duplicate key {key:?} in artifact");
     }
+    let mut map = BTreeMap::new();
+    walk(&Json::parse(json).expect("artifact is valid JSON"), &mut map);
     map
 }
 
@@ -127,4 +131,10 @@ fn entry_parser_handles_sections_and_rejects_duplicates() {
     assert_eq!(parsed.get("a.b").map(String::as_str), Some("3"));
     assert_eq!(parsed.get("x").map(String::as_str), Some("1.5"));
     assert!(!parsed.contains_key("counters"));
+    for duplicated in [
+        "{\n  \"x\": 1,\n  \"x\": 2\n}\n",
+        "{\n  \"counters\": {\n    \"x\": 3\n  },\n  \"x\": 1.5\n}\n",
+    ] {
+        assert!(std::panic::catch_unwind(|| entries(duplicated)).is_err(), "{duplicated}");
+    }
 }

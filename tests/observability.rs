@@ -7,7 +7,8 @@
 //! host-timing values (barrier waits, per-worker item counts) live in the
 //! separate `host` section and are excluded from that rendering.
 
-use pim_assembler::{PimAssembler, PimAssemblerConfig, PimRun};
+use pim_assembler::checkpoint::{prepare_dir, CHECKPOINT_FILE};
+use pim_assembler::{PimAssembler, PimAssemblerConfig, PimRun, Session};
 use pim_obsv::MetricsSnapshot;
 
 fn observed_run(workers: usize) -> PimRun {
@@ -93,6 +94,31 @@ fn the_report_schedule_is_a_traced_span() {
     assert!(commands > 0 && commands <= snap.counter("total.commands"));
     // The snapshot is taken after the span, so it counts it.
     assert_eq!(snap.host.get("spans.recorded").copied(), Some(spans.len() as u64));
+}
+
+#[test]
+fn every_checkpoint_write_is_a_traced_span() {
+    let (_, reads) = pim_bench::scaled_dataset(2000, 8.0, 42);
+    let chunk = 64;
+    let config = PimAssemblerConfig::paper(15)
+        .with_hash_subarrays(16)
+        .with_observability(true)
+        .with_chunk_reads(chunk)
+        .expect("positive chunk size");
+    let dir = std::env::temp_dir().join(format!("pim_obsv_ckpt_spans_{}", std::process::id()));
+    let dir = prepare_dir(&dir, true).expect("checkpoint dir");
+    let mut asm = PimAssembler::new(config);
+    let mut session = Session::start(&mut asm, Some(dir.clone())).expect("session starts");
+    session.feed_chunked(&reads, Some(chunk)).expect("chunks fit");
+    session.finish().expect("run completes");
+    let spans = asm.span_recorder().expect("observability enabled").events();
+    let writes: Vec<_> = spans.iter().filter(|e| e.name == "checkpoint.write").collect();
+    // Start, one per chunk, then the graph, traverse and done boundaries.
+    assert_eq!(writes.len(), reads.len().div_ceil(chunk) + 4);
+    assert!(writes.iter().all(|e| e.cat == "checkpoint" && e.items > 0));
+    let on_disk = std::fs::metadata(dir.join(CHECKPOINT_FILE)).expect("checkpoint file").len();
+    assert_eq!(writes.last().map(|e| e.items), Some(on_disk), "items count the bytes written");
+    std::fs::remove_dir_all(&dir).expect("clean up");
 }
 
 #[test]
